@@ -194,6 +194,74 @@ BENCHMARK(BM_TierDensity)
     ->ArgNames({"memops_pct", "tier"})
     ->ArgsProduct({{0, 25, 50}, {0, 1}});
 
+// The encryption graft of the paper's worst-case SFI row (Table 6): a
+// rolling-XOR stream cipher over one 8 KB chunk, MiSFIT-masked, verified,
+// run on tier range(0). This is the body the file-stream workload spends
+// its time in: an 11-instruction loop block whose two accesses each follow
+// their own kSandboxAddr, so it prices Tier 1's per-block charging and
+// sandbox+access fusion directly.
+constexpr int64_t kCipherChunk = 8192;
+
+Program StreamCipherProgram() {
+  // r0 = in, r1 = out, r2 = byte count.
+  Asm a("cipher");
+  auto loop = a.NewLabel();
+  auto done = a.NewLabel();
+  a.LoadImm(R4, 0);
+  a.LoadImm(R5, 0x5c);
+  a.Bind(loop);
+  a.BgeU(R4, R2, done);
+  a.Add(R6, R0, R4);
+  a.Ld8(R7, R6);
+  a.Xor(R7, R7, R5);
+  a.AndI(R8, R4, 0xff);
+  a.Xor(R7, R7, R8);
+  a.Add(R6, R1, R4);
+  a.St8(R6, R7);
+  a.AddI(R4, R4, 1);
+  a.Jmp(loop);
+  a.Bind(done);
+  a.LoadImm(R0, 0);
+  a.Halt();
+  return *Instrument(*a.Finish(), MisfitOptions{16});
+}
+
+void BM_TierStreamCipher(benchmark::State& state) {
+  const int tier = static_cast<int>(state.range(0));
+  HostCallTable host;
+  MemoryImage image(4096, 16);
+  Program p = StreamCipherProgram();
+  if (!VerifySandbox(p).ok()) {
+    state.SkipWithError("bench program failed verification");
+    return;
+  }
+  p.verified = true;
+  const uint64_t args[3] = {image.arena_base(),
+                            image.arena_base() + kCipherChunk,
+                            static_cast<uint64_t>(kCipherChunk)};
+  const Vm vm(&host);
+  const ThreadedVm tvm(&host);
+  const ExecutionEngine* engine = &vm;
+  if (tier == 1) {
+    p.compiled = CompileThreaded(p);
+    if (p.compiled == nullptr) {
+      state.SkipWithError("tier-1 compile unavailable");
+      return;
+    }
+    engine = &tvm;
+  }
+  uint64_t instructions = 0;
+  for (auto _ : state) {
+    const RunOutcome out = engine->Run(p, &image, args, RunOptions{}, {});
+    instructions = out.instructions;
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["ins"] = static_cast<double>(instructions);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          kCipherChunk);
+}
+BENCHMARK(BM_TierStreamCipher)->ArgName("tier")->Arg(0)->Arg(1);
+
 void BM_VerifySandbox(benchmark::State& state) {
   // Load-time cost of the proof itself (a one-time charge per load,
   // amortized over every run of the graft).

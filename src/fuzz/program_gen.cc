@@ -14,7 +14,16 @@ namespace fuzz {
 
 Program RandomProgram(Rng& rng, const GenOptions& options) {
   Asm a("fuzz");
-  const auto r = [&rng] { return Reg{static_cast<uint8_t>(rng.Below(12))}; };
+  const bool looped = options.loop_iterations > 0;
+  const uint64_t body_regs = looped ? 10 : 12;  // r10 is the loop counter.
+  const auto r = [&rng, body_regs] {
+    return Reg{static_cast<uint8_t>(rng.Below(body_regs))};
+  };
+  auto top = a.NewLabel();
+  if (looped) {
+    a.LoadImm(R10, 0);
+    a.Bind(top);
+  }
   for (int i = 0; i < options.length; ++i) {
     if (options.ok_call_id == 0) {
       // Plain ALU/memory mix (the SandboxFuzzTest distribution).
@@ -95,6 +104,12 @@ Program RandomProgram(Rng& rng, const GenOptions& options) {
         }
       }
     }
+  }
+  if (looped) {
+    // r11 is free here: the body only ever loads call ids into it.
+    a.AddI(R10, R10, 1);
+    a.LoadImm(R11, options.loop_iterations);
+    a.BltU(R10, R11, top);
   }
   a.Halt();
   Result<Program> p = a.Finish();

@@ -6,7 +6,8 @@
 // divergent copies:
 //
 //  * RandomProgram        — structurally valid source programs: forward
-//                           control flow (always terminates), random ALU
+//                           control flow, optionally inside one bounded
+//                           counted loop (always terminates), random ALU
 //                           ops, loads/stores with arbitrary addresses,
 //                           optionally indirect host calls (some aimed at a
 //                           non-callable id, a guaranteed Rule-7 abort).
@@ -54,10 +55,18 @@ struct GenOptions {
   uint32_t ok_call_id = 0;
   uint32_t hostile_call_id = 0;
   double hostile_call_chance = 0.1;
+
+  // When nonzero, the random body runs this many times inside a counted
+  // loop (r10 counts, so the body draws from r0..r9): the one backward
+  // branch, bounded, so execution engines see re-entered blocks. Zero —
+  // the default — emits exactly what it always has, keeping existing seeds
+  // and corpora byte-identical.
+  int loop_iterations = 0;
 };
 
-// A random but structurally valid source program (terminates: no backward
-// control flow). Deterministic in (rng state, options).
+// A random but structurally valid source program. It terminates: control
+// flow is forward-only except the optional counted loop. Deterministic in
+// (rng state, options).
 [[nodiscard]] Program RandomProgram(Rng& rng, const GenOptions& options = {});
 
 struct ForgeOptions {

@@ -6,9 +6,11 @@
 //                                     anything, instrumented or not, with
 //                                     per-access bounds checks unless the
 //                                     program carries the verifier's proof.
-//   Tier 1  (src/sfi/threaded_vm.h) — direct-threaded dispatch over a
-//                                     load-time pre-decoded op array
-//                                     (computed goto). Only runs programs
+//   Tier 1  (src/sfi/threaded_vm.h) — direct-threaded dispatch over
+//                                     load-time pre-decoded op streams
+//                                     (computed goto), charging fuel and
+//                                     polls per basic block, exactly as
+//                                     Tier 0 would. Only runs programs
 //                                     the load-time verifier proved safe;
 //                                     the proof is what lets it drop the
 //                                     per-iteration pc bounds check and the

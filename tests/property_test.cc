@@ -281,6 +281,15 @@ INSTANTIATE_TEST_SUITE_P(
 
 class TierFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
+// An abort predicate that never fires, counting how often it is asked.
+struct PollCount {
+  uint64_t calls = 0;
+  static bool Count(void* ctx) {
+    ++static_cast<PollCount*>(ctx)->calls;
+    return false;
+  }
+};
+
 TEST_P(TierFuzzTest, TiersAgreeOnRegistersMemoryHostCallsAndAborts) {
   Rng rng(GetParam() ^ 0x71e2);
 
@@ -317,12 +326,18 @@ TEST_P(TierFuzzTest, TiersAgreeOnRegistersMemoryHostCallsAndAborts) {
   for (int trial = 0; trial < trials; ++trial) {
     // RandomProgram's ALU/memory mix, plus indirect host calls: mostly the
     // recorder, occasionally the non-callable id (a guaranteed abort).
+    // Half the trials loop, so blocks are re-entered — from the fast
+    // stream and, after a failed block test, from the checked stream.
     const int length = static_cast<int>(rng.Range(5, 40));
+    const bool looped = rng.Chance(0.5);
     const Program raw = fuzz::RandomProgram(
-        rng, fuzz::GenOptions{.length = length,
-                              .ok_call_id = host0.ok_id,
-                              .hostile_call_id = host0.hostile_id,
-                              .hostile_call_chance = 0.1});
+        rng, fuzz::GenOptions{
+                 .length = length,
+                 .ok_call_id = host0.ok_id,
+                 .hostile_call_id = host0.hostile_id,
+                 .hostile_call_chance = looped ? 0.02 : 0.1,
+                 .loop_iterations =
+                     looped ? static_cast<int>(rng.Range(2, 12)) : 0});
     Result<Program> inst = Instrument(raw, MisfitOptions{16});
     ASSERT_TRUE(inst.ok());
     ASSERT_TRUE(VerifySandbox(*inst).ok());
@@ -342,22 +357,31 @@ TEST_P(TierFuzzTest, TiersAgreeOnRegistersMemoryHostCallsAndAborts) {
     }
     // Small fuel budgets on some trials force mid-program fuel aborts, so
     // abort *reasons* get differential coverage too.
+    // The abort predicate never fires but counts its calls: poll cadence
+    // is part of what the tiers must agree on. Small intervals make block
+    // tests fail mid-loop.
     RunOptions options;
     if (rng.Chance(0.3)) {
-      options.fuel = rng.Range(1, 64);
+      options.fuel = rng.Range(1, looped ? 512 : 64);
     }
+    options.poll_interval = static_cast<uint32_t>(rng.Range(1, 24));
+    options.abort_requested = &PollCount::Count;
     uint64_t regs0[kNumRegisters];
     uint64_t regs1[kNumRegisters];
     MemoryImage image0(8192, 16);
     MemoryImage image1(8192, 16);
 
+    PollCount polls0;
+    PollCount polls1;
     host0.calls.clear();
     options.final_regs = regs0;
+    options.abort_ctx = &polls0;
     const RunOutcome out0 =
         Vm(&host0.table).Run(tier0, &image0, args, options);
 
     host1.calls.clear();
     options.final_regs = regs1;
+    options.abort_ctx = &polls1;
     const RunOutcome out1 =
         ThreadedVm(&host1.table).Run(tier1, &image1, args, options);
 
@@ -366,6 +390,8 @@ TEST_P(TierFuzzTest, TiersAgreeOnRegistersMemoryHostCallsAndAborts) {
     EXPECT_EQ(out1.ret, out0.ret)
         << "seed=" << GetParam() << " trial=" << trial;
     EXPECT_EQ(out1.instructions, out0.instructions)
+        << "seed=" << GetParam() << " trial=" << trial;
+    EXPECT_EQ(polls1.calls, polls0.calls)
         << "seed=" << GetParam() << " trial=" << trial;
     EXPECT_EQ(out0.tier, ExecTier::kTier0);
     EXPECT_EQ(out1.tier, ExecTier::kTier1);

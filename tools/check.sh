@@ -29,7 +29,8 @@
 #      both execution tiers) against a live kernel with the spool attached;
 #      any anomaly (sandbox escape, tier divergence, missed ejection, lost
 #      events, spool loss) fails the gate and leaves a reproducer bundle
-#      under build/fuzz-artifacts,
+#      under build/fuzz-artifacts; outside --fast, the tier-differential
+#      property test also runs widened to 20000 trials per seed,
 #   8. ThreadSanitizer build + the concurrency-heavy tests, so dispatch
 #      races (Drain vs DispatchAsync, pool lifecycle, txn locks, ring
 #      snapshot-during-write, concurrent Tier-1 dispatch over one shared
@@ -181,6 +182,12 @@ if [[ "$FAST" == "1" ]]; then
 fi
 build/tools/graftfuzz --smoke --artifacts "$FUZZ_ART" \
   ${FUZZ_BUDGET[@]+"${FUZZ_BUDGET[@]}"}
+# The tier-differential fuzz, widened: 20000 trials per seed, half of them
+# looped, holds Tier 1's block charging and fused ops to Tier 0's
+# instruction counts, poll calls, host calls, registers and memory.
+if [[ "$FAST" != "1" ]]; then
+  VINO_FUZZ_ITERS=20000 build/tests/property_test --gtest_filter='*Tier*'
+fi
 
 if [[ "$BENCH" == "1" ]]; then
   # Shared CI boxes are too noisy for a hard perf gate, so the default is
