@@ -411,28 +411,6 @@ Status SpoolFollower::Poll(std::vector<trace::TaggedRecord>& out) {
   }
 }
 
-Status ReadSpool(const std::string& path, std::vector<trace::TaggedRecord>& out,
-                 ReadStats* stats) {
-  SpoolFollower follower;
-  Status status = follower.Open(path);
-  if (IsOk(status)) {
-    status = follower.Poll(out);
-  }
-  if (stats != nullptr) {
-    *stats = follower.stats();
-  }
-  if (!IsOk(status)) {
-    return status;
-  }
-  if (follower.stats().corrupt_batches > 0) {
-    return Status::kSpoolCorrupt;
-  }
-  if (follower.stats().truncated) {
-    return Status::kSpoolTruncated;
-  }
-  return Status::kOk;
-}
-
 // ---------------------------------------------------------------------------
 // ChainedFollower.
 

@@ -283,15 +283,6 @@ class SpoolFollower {
   ReadStats stats_;
 };
 
-// One-shot convenience: open, drain to EOF, classify. Intact batches are
-// always appended to `out`; the status says how the file ended:
-//   kOk              clean EOF (close trailer or exact batch boundary),
-//   kSpoolTruncated  partial batch at the tail (torn write / live file),
-//   kSpoolCorrupt    bad header or ≥1 batch with a CRC mismatch.
-Status ReadSpool(const std::string& path,
-                 std::vector<trace::TaggedRecord>& out,
-                 ReadStats* stats = nullptr);
-
 // ---------------------------------------------------------------------------
 // Chained reader: one logical stream across a segment ring.
 
@@ -345,11 +336,17 @@ class ChainedFollower {
   mutable ReadStats merged_;  // Scratch for stats().
 };
 
-// One-shot chained convenience: open (file, segment, or base), drain every
-// available segment to EOF, classify like ReadSpool. A rotated final
-// segment whose successor is missing reports kSpoolTruncated only if the
-// last readable segment ends mid-batch; a live (unclosed) chain ends kOk
-// at a clean batch boundary, exactly like ReadSpool on a live file.
+// The one-shot reader: open (plain file, segment, or base), drain every
+// available segment to EOF, classify. Intact batches are always appended
+// to `out`; the status says how the stream ended:
+//   kOk              clean EOF (close trailer or exact batch boundary —
+//                    a live, unclosed stream ends kOk too),
+//   kSpoolTruncated  partial batch at the tail (torn write / live file;
+//                    also an empty file or a short header),
+//   kSpoolCorrupt    bad header or ≥1 batch with a CRC mismatch,
+//   kNotFound        no such file and no segment of such a base.
+// A rotated final segment whose successor is missing reports
+// kSpoolTruncated only if the last readable segment ends mid-batch.
 Status ReadSpoolChain(const std::string& path,
                       std::vector<trace::TaggedRecord>& out,
                       ReadStats* stats = nullptr);

@@ -73,7 +73,7 @@ TEST_F(TraceSpoolTest, WriterReaderRoundTrip) {
 
   std::vector<trace::TaggedRecord> records;
   spool::ReadStats stats;
-  ASSERT_EQ(spool::ReadSpool(path_, records, &stats), Status::kOk);
+  ASSERT_EQ(spool::ReadSpoolChain(path_, records, &stats), Status::kOk);
   ASSERT_EQ(records.size(), 13u);
   for (uint64_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(records[i].seq, i);
@@ -96,7 +96,7 @@ TEST_F(TraceSpoolTest, ZeroLengthFileIsCleanError) {
 
   std::vector<trace::TaggedRecord> records;
   spool::ReadStats stats;
-  EXPECT_EQ(spool::ReadSpool(path_, records, &stats),
+  EXPECT_EQ(spool::ReadSpoolChain(path_, records, &stats),
             Status::kSpoolTruncated);
   EXPECT_TRUE(records.empty());
   EXPECT_TRUE(stats.truncated);
@@ -111,13 +111,13 @@ TEST_F(TraceSpoolTest, BadFileHeaderIsCleanError) {
   std::fclose(f);
 
   std::vector<trace::TaggedRecord> records;
-  EXPECT_EQ(spool::ReadSpool(path_, records), Status::kSpoolCorrupt);
+  EXPECT_EQ(spool::ReadSpoolChain(path_, records), Status::kSpoolCorrupt);
   EXPECT_TRUE(records.empty());
 }
 
 TEST_F(TraceSpoolTest, MissingFileIsCleanError) {
   std::vector<trace::TaggedRecord> records;
-  EXPECT_EQ(spool::ReadSpool(path_ + ".nope", records), Status::kNotFound);
+  EXPECT_EQ(spool::ReadSpoolChain(path_ + ".nope", records), Status::kNotFound);
   EXPECT_TRUE(records.empty());
 }
 
@@ -145,7 +145,7 @@ TEST_F(TraceSpoolTest, TruncatedTailYieldsCompleteBatchesOnly) {
 
   std::vector<trace::TaggedRecord> records;
   spool::ReadStats stats;
-  EXPECT_EQ(spool::ReadSpool(path_, records, &stats),
+  EXPECT_EQ(spool::ReadSpoolChain(path_, records, &stats),
             Status::kSpoolTruncated);
   ASSERT_EQ(records.size(), 6u);
   EXPECT_EQ(records.back().seq, 5u);
@@ -183,7 +183,7 @@ TEST_F(TraceSpoolTest, CorruptBatchCrcIsSkippedNotFatal) {
   spool::ReadStats stats;
   // One flipped bit costs one batch: the second batch and the trailer still
   // parse, and the overall status reports the corruption.
-  EXPECT_EQ(spool::ReadSpool(path_, records, &stats), Status::kSpoolCorrupt);
+  EXPECT_EQ(spool::ReadSpoolChain(path_, records, &stats), Status::kSpoolCorrupt);
   ASSERT_EQ(records.size(), 5u);
   EXPECT_EQ(records.front().seq, 4u);
   EXPECT_EQ(stats.corrupt_batches, 1u);
@@ -244,7 +244,7 @@ TEST_F(TraceSpoolTest, DrainerSpoolsPostedRecordsEndToEnd) {
 
   std::vector<trace::TaggedRecord> records;
   spool::ReadStats read_stats;
-  ASSERT_EQ(spool::ReadSpool(path_, records, &read_stats), Status::kOk);
+  ASSERT_EQ(spool::ReadSpoolChain(path_, records, &read_stats), Status::kOk);
   EXPECT_TRUE(read_stats.closed);
   ASSERT_EQ(records.size(), 150u);
   // Exactly-once, in per-thread order: seq is dense and the payload matches.
@@ -276,7 +276,7 @@ TEST_F(TraceSpoolTest, DrainerReportsWrapLossInBatches) {
 
   std::vector<trace::TaggedRecord> records;
   spool::ReadStats read_stats;
-  ASSERT_EQ(spool::ReadSpool(path_, records, &read_stats), Status::kOk);
+  ASSERT_EQ(spool::ReadSpoolChain(path_, records, &read_stats), Status::kOk);
   // The spool says exactly how much history it is missing.
   EXPECT_GE(read_stats.lost_total, 500u);
   EXPECT_EQ(read_stats.records + read_stats.lost_total, total);

@@ -3,15 +3,18 @@
 
 Spawns several graftstat self-test processes configured (purely through the
 environment, the way a real fleet would be) to spool rotated segment rings
-into a shared VINO_SPOOL directory, then runs `graftstat --fleet <dir>
---json --once` and checks that the multiplexed view is complete:
+into a shared VINO_SPOOL directory, then runs `graftstat --spool <dir>
+--json` and checks that the multiplexed view is complete:
 
   * every kernel appears, keyed by its vspool.<pid>.<k> stream,
   * every stream reads back closed and continuous (no gaps, no corruption),
   * the small segment cap really forced rotation on each stream,
   * per-kernel tier run counts sum to the invocation count,
   * the fleet union aggregates every kernel's records and carries a valid
-    merged abort-cost fit spanning all of them.
+    merged abort-cost fit spanning all of them,
+  * each kernel object equals the one kernel object `graftstat --spool`
+    prints for that stream's own path: a directory is just several
+    single-stream attaches side by side.
 
 Usage: fleet_smoke.py <graftstat-binary> <workdir>
 """
@@ -29,6 +32,17 @@ INVOCATIONS = 512
 def fail(message):
     print(f"fleet_smoke: FAIL: {message}", file=sys.stderr)
     sys.exit(1)
+
+
+def attach(graftstat, path):
+    cmd = [graftstat, "--spool", path, "--json"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    if proc.returncode != 0:
+        fail(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
+    try:
+        return json.loads(proc.stdout)
+    except json.JSONDecodeError as e:
+        fail(f"{' '.join(cmd)} printed invalid JSON ({e}):\n{proc.stdout}")
 
 
 def main():
@@ -54,15 +68,7 @@ def main():
             fail(f"kernel process exited {proc.returncode}:\n"
                  f"{stderr.decode(errors='replace')}")
 
-    fleet_cmd = [graftstat, "--fleet", workdir, "--json", "--once"]
-    proc = subprocess.run(fleet_cmd, capture_output=True, text=True,
-                          timeout=120)
-    if proc.returncode != 0:
-        fail(f"{' '.join(fleet_cmd)} exited {proc.returncode}:\n{proc.stderr}")
-    try:
-        view = json.loads(proc.stdout)
-    except json.JSONDecodeError as e:
-        fail(f"fleet view printed invalid JSON ({e}):\n{proc.stdout}")
+    view = attach(graftstat, workdir)
 
     kernels = view["kernels"]
     if len(kernels) != KERNELS:
@@ -87,6 +93,10 @@ def main():
                  f"not {invocations}")
         if k["txn"]["aborts"] == 0:
             fail(f"kernel {key}: abort-heavy workload recorded no aborts")
+        single = attach(graftstat, spool["path"])["kernels"]
+        if single != [k]:
+            fail(f"kernel {key}: --spool {spool['path']} differs from its "
+                 f"directory view:\n{single}\nvs\n{[k]}")
 
     fleet = view["fleet"]
     if fleet["kernels"] != KERNELS:

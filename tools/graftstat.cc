@@ -1,49 +1,40 @@
-// graftstat: the abort-cost diagnosis tool. Four modes:
+// graftstat: the abort-cost diagnosis tool. Three modes:
 //
 //   graftstat [--json] [--invocations N] [--spool-out FILE]
-//             [--spool-out-segment-bytes N] [--spool-out-segments M]
 //     Self-test workload (the paper's §4.5 experiment): abort-heavy grafts
 //     holding L locks and pushing G undo records give the cost model enough
 //     variance to fit cost = a + b·L + c·G per graft. --spool-out also
 //     spools the run's flight-recorder stream to FILE (deterministically —
 //     drained every batch of invocations, so nothing wraps), which is how
 //     the golden test proves a replayed fit matches the live one. The
-//     segment flags turn the spool into a size-capped rotation ring; with
-//     no --spool-out, the VINO_SPOOL environment (a directory, plus the
-//     VINO_SPOOL_SEGMENT_BYTES / VINO_SPOOL_SEGMENTS knobs) derives a
-//     per-process spool exactly as a kernel would — which is how the fleet
-//     smoke test uses several graftstat self-tests as stand-in kernels.
+//     VINO_SPOOL_SEGMENT_BYTES / VINO_SPOOL_SEGMENTS environment turns that
+//     spool into a size-capped rotation ring; with no --spool-out, VINO_SPOOL
+//     (a directory) derives a per-process spool exactly as a kernel would —
+//     which is how the fleet smoke test uses several self-tests as stand-in
+//     kernels.
 //
-//   graftstat --spool FILE [--json]
-//     Attach to a *recorded* deployment: replay a spool written by a
-//     kernel's SpoolDrainer (src/base/trace_spool.h) and rebuild the same
-//     report — per-graft abort counts, L/G means, fitted cost lines,
-//     invocation-latency quantiles — from the records alone. FILE may be a
-//     plain spool, one segment of a rotation ring, or the ring's base path;
-//     segments are chained into one logical stream with exact batch_seq /
-//     lost_total continuity. Tolerates truncated tails and skips corrupt
-//     batches.
+//   graftstat --spool PATH [--json]
+//     Attach to what is on disk now: drain every stream under PATH to its
+//     current end and report. PATH may be a plain spool, one segment of a
+//     rotation ring, or the ring's base path (segments chain into one
+//     stream with exact batch_seq / lost_total continuity) — or a VINO_SPOOL
+//     directory, where every `vspool.<pid>.<k>[.s<n>].bin` family is one
+//     kernel's stream.
 //
-//   graftstat --follow FILE [--json] [--interval-ms N]
-//     Attach to a *live* deployment: tail the spool as the kernel writes
-//     it, folding new batches into the running report, until the writer's
-//     close trailer arrives (kernel shutdown) — then print the report.
-//     Rotation-safe: when the tailed segment ends in a rotate trailer (or
-//     is unlinked/renamed under the reader's fd), the follower reopens the
-//     successor segment instead of waiting forever on the stale fd.
+//   graftstat --follow PATH [--json] [--interval-ms N]
+//     Attach to a *live* deployment: tail the same streams as the kernels
+//     write them (rotation-safe; new kernels under a directory join the
+//     view), until every stream's close trailer arrives — then report. A
+//     stream that has not appeared yet is waited for up to 30 s.
 //
-//   graftstat --fleet DIR [--json] [--once] [--interval-ms N]
-//     Attach to *every* kernel spooling under DIR (the VINO_SPOOL
-//     directory): each `vspool.<pid>.<k>[.s<n>].bin` family is one kernel's
-//     stream, tailed with its own chained follower and folded into a
-//     per-kernel report plus a fleet-union view (per-graft fits merged
-//     across kernels via AbortCostModel::Merge). New kernels and rotated
-//     segments are discovered live — inotify on Linux, polling elsewhere.
-//     --once scans and drains what exists now, then reports (scraping
-//     mode); without it the fleet view runs until every discovered kernel
-//     has closed its spool. --follow-dir DIR is an alias.
+// Both attach forms print one report: per kernel, the spool's health, txn
+// and event counts, latency quantiles, per-graft abort counts and fitted
+// cost lines rebuilt from the records alone; plus a fleet union (per-graft
+// fits merged across kernels via AbortCostModel::Merge). Exit status is
+// the same for every form: 1 when no stream was found, a stream is
+// missing, or any batch was corrupt (SPOOL_CORRUPT); a truncated tail is a
+// normal partial report (exit 0).
 
-#include <dirent.h>
 #include <poll.h>
 #include <unistd.h>
 
@@ -51,10 +42,12 @@
 #include <sys/inotify.h>
 #endif
 
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -118,6 +111,24 @@ std::string_view TierLabel(size_t tier_plus1) {
                                static_cast<vino::ExecTier>(tier_plus1 - 1));
 }
 
+// Every string graftstat prints into JSON goes through here: paths, kernel
+// keys and graft names are arbitrary bytes.
+void PrintJsonString(std::string_view s) {
+  std::putchar('"');
+  for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      std::putchar('\\');
+      std::putchar(c);
+    } else if (u < 0x20) {
+      std::printf("\\u%04x", u);
+    } else {
+      std::putchar(c);
+    }
+  }
+  std::putchar('"');
+}
+
 struct Quantiles {
   uint64_t count;
   uint64_t p50, p95, p99;
@@ -169,9 +180,9 @@ void PrintQuantilesText(const char* label, const Quantiles& q) {
 void PrintTierLatencyJson(const LatencyHistogram* tiers) {
   std::printf("{");
   for (size_t t = 0; t <= vino::kExecTierCount; ++t) {
-    const std::string_view label = TierLabel(t);
-    std::printf("%s\"%.*s\": ", t == 0 ? "" : ", ",
-                static_cast<int>(label.size()), label.data());
+    std::printf("%s", t == 0 ? "" : ", ");
+    PrintJsonString(TierLabel(t));
+    std::printf(": ");
     PrintQuantilesJson(Read(tiers[t]));
   }
   std::printf("}");
@@ -183,31 +194,122 @@ void PrintTierLatencyText(const LatencyHistogram* tiers) {
     if (q.count == 0) {
       continue;  // Text mode: skip tiers nothing ran on.
     }
-    char label[16];
-    const std::string_view name = TierLabel(t);
-    std::snprintf(label, sizeof(label), "%.*s",
-                  static_cast<int>(name.size()), name.data());
-    PrintQuantilesText(label, q);
+    const std::string label(TierLabel(t));
+    PrintQuantilesText(label.c_str(), q);
+  }
+}
+
+void PrintEventsJson(const std::map<std::string, uint64_t>& event_counts) {
+  std::printf("{");
+  bool first = true;
+  for (const auto& [name, count] : event_counts) {
+    std::printf("%s", first ? "" : ", ");
+    PrintJsonString(name);
+    std::printf(": %" PRIu64, count);
+    first = false;
+  }
+  std::printf("}");
+}
+
+void PrintEventsText(const std::map<std::string, uint64_t>& event_counts) {
+  for (const auto& [name, count] : event_counts) {
+    std::printf("  %-16s %" PRIu64 "\n", name.c_str(), count);
+  }
+}
+
+// Invocation counts by execution slot (TierLabel order).
+using TierRuns = uint64_t[vino::kExecTierCount + 1];
+
+void PrintRunsJson(const TierRuns& runs) {
+  std::printf("{");
+  for (size_t t = 0; t <= vino::kExecTierCount; ++t) {
+    std::printf("%s", t == 0 ? "" : ", ");
+    PrintJsonString(TierLabel(t));
+    std::printf(": %" PRIu64, runs[t]);
+  }
+  std::printf("}");
+}
+
+// One per-graft row, shared by the live self-test, the replayed kernels,
+// and the fleet union.
+struct GraftAgg {
+  std::string name;      // Live grafts only; a spool carries trace ids.
+  uint64_t kernels = 0;  // Fleet-union rows: kernels that ran it (else 0).
+  uint64_t invocations = 0;
+  uint64_t aborts = 0;
+  // Execution-slot attribution (slot 0 = native graft, or a legacy spool
+  // that predates tier tagging).
+  TierRuns runs = {};
+  bool degraded = false;  // A kGraftDegraded event named this graft.
+  AbortCostModel model;
+
+  void Merge(const GraftAgg& other) {
+    invocations += other.invocations;
+    aborts += other.aborts;
+    for (size_t t = 0; t <= vino::kExecTierCount; ++t) {
+      runs[t] += other.runs[t];
+    }
+    degraded = degraded || other.degraded;
+    model.Merge(other.model);
+  }
+};
+
+using GraftAggs = std::map<uint64_t, GraftAgg>;  // Keyed by trace id.
+
+// A JSON array of graft objects, one per line at `indent`.
+void PrintGraftsJson(const GraftAggs& grafts, const char* indent) {
+  std::printf("[");
+  for (auto it = grafts.begin(); it != grafts.end(); ++it) {
+    const GraftAgg& g = it->second;
+    std::printf("%s\n%s{", it == grafts.begin() ? "" : ",", indent);
+    if (!g.name.empty()) {
+      std::printf("\"name\": ");
+      PrintJsonString(g.name);
+      std::printf(", ");
+    }
+    std::printf("\"trace_id\": %" PRIu64, it->first);
+    if (g.kernels > 0) {
+      std::printf(", \"kernels\": %" PRIu64, g.kernels);
+    }
+    std::printf(", \"invocations\": %" PRIu64 ", \"aborts\": %" PRIu64
+                ", \"degraded\": %s, \"runs\": ",
+                g.invocations, g.aborts, g.degraded ? "true" : "false");
+    PrintRunsJson(g.runs);
+    std::printf(", \"abort_cost\": ");
+    PrintFitJson(g.model.Fit());
+    std::printf("}");
+  }
+  std::printf("]");
+}
+
+static_assert(vino::kExecTierCount == 2, "text columns: native tier0 tier1");
+
+void PrintGraftsText(const GraftAggs& grafts) {
+  std::printf("  %-18s %12s %8s %8s %8s %8s\n", "graft", "invocations",
+              "aborts", "native", "tier0", "tier1");
+  for (const auto& [trace_id, g] : grafts) {
+    std::string label =
+        g.name.empty() ? "graft#" + std::to_string(trace_id) : g.name;
+    if (g.kernels > 0) {
+      label += " ×" + std::to_string(g.kernels);
+    }
+    if (g.degraded) {
+      label += " [DEGRADED]";
+    }
+    std::printf("  %-18s %12" PRIu64 " %8" PRIu64 " %8" PRIu64 " %8" PRIu64
+                " %8" PRIu64 "\n",
+                label.c_str(), g.invocations, g.aborts, g.runs[0], g.runs[1],
+                g.runs[2]);
+    PrintFitText("", g.model.Fit());
   }
 }
 
 // ---------------------------------------------------------------------------
-// Spool replay: rebuild the report the live process computes, from the
-// recorded stream alone.
+// Attach: rebuild the report the live process computes, from the recorded
+// stream alone.
 
 struct ReplayReport {
-  struct GraftAgg {
-    uint64_t invocations = 0;
-    uint64_t aborts = 0;
-    // Execution-tier attribution, unpacked from the kInvokeBegin tag's high
-    // byte (0 = native graft or a legacy spool that predates tier tagging).
-    uint64_t untiered_runs = 0;
-    uint64_t tier_runs[vino::kExecTierCount] = {};
-    bool degraded = false;  // A kGraftDegraded event named this graft.
-    AbortCostModel model;
-  };
-
-  std::map<uint64_t, GraftAgg> grafts;  // Keyed by graft trace id.
+  GraftAggs grafts;
   std::map<std::string, uint64_t> event_counts;
   uint64_t records = 0;
   uint64_t txn_begins = 0;
@@ -228,15 +330,10 @@ struct ReplayReport {
     ++event_counts[std::string(vino::trace::EventName(event))];
     switch (event) {
       case Event::kInvokeBegin: {
-        GraftAgg& agg = grafts[r.a];
-        ++agg.invocations;
         // High byte of the packed tag: tier + 1, 0 = untiered.
         const uint16_t tier_plus1 = vino::trace::InvokeTierPlus1(r.tag);
-        if (tier_plus1 >= 1 && tier_plus1 <= vino::kExecTierCount) {
-          ++agg.tier_runs[tier_plus1 - 1];
-        } else {
-          ++agg.untiered_runs;
-        }
+        ++grafts[r.a].invocations;
+        ++grafts[r.a].runs[tier_plus1 <= vino::kExecTierCount ? tier_plus1 : 0];
         break;
       }
       case Event::kInvokeEnd: {
@@ -273,290 +370,119 @@ struct ReplayReport {
   }
 };
 
-void PrintSpoolStatsJson(const std::string& path,
-                         const vino::spool::ReadStats& stats, Status status) {
-  std::printf("{\"path\": \"%s\", \"status\": \"%.*s\", "
-              "\"batches\": %" PRIu64 ", \"corrupt_batches\": %" PRIu64
-              ", \"records\": %" PRIu64 ", \"lost_total\": %" PRIu64
-              ", \"truncated\": %s, \"closed\": %s, \"rotated\": %s, "
-              "\"segments\": %" PRIu64 ", \"first_batch_seq\": %" PRIu64
-              ", \"seq_gaps\": %" PRIu64 "}",
-              path.c_str(), static_cast<int>(StatusName(status).size()),
-              StatusName(status).data(), stats.batches, stats.corrupt_batches,
-              stats.records, stats.lost_total,
-              stats.truncated ? "true" : "false",
-              stats.closed ? "true" : "false",
-              stats.rotated ? "true" : "false", stats.segments,
-              stats.first_batch_seq, stats.seq_gaps);
-}
+using Clock = std::chrono::steady_clock;
 
-void PrintGraftAggJson(uint64_t trace_id, const ReplayReport::GraftAgg& agg) {
-  std::printf("{\"trace_id\": %" PRIu64 ", \"invocations\": %" PRIu64
-              ", \"aborts\": %" PRIu64 ", \"degraded\": %s"
-              ", \"runs\": {\"native\": %" PRIu64 ", \"tier0\": %" PRIu64
-              ", \"tier1\": %" PRIu64 "}, \"abort_cost\": ",
-              trace_id, agg.invocations, agg.aborts,
-              agg.degraded ? "true" : "false", agg.untiered_runs,
-              agg.tier_runs[0], agg.tier_runs[1]);
-  PrintFitJson(agg.model.Fit());
-  std::printf("}");
-}
+// How long --follow waits for a stream that has not appeared yet (or whose
+// file header has not landed): a kernel mid-startup, in wall time.
+constexpr auto kAppearTimeout = std::chrono::seconds(30);
 
-void PrintReplayJson(const char* mode, const std::string& path,
-                     const ReplayReport& report,
-                     const vino::spool::ReadStats& stats, Status status) {
-  std::printf("{\n  \"mode\": \"%s\",\n", mode);
-  std::printf("  \"spool\": ");
-  PrintSpoolStatsJson(path, stats, status);
-  std::printf(",\n");
-  std::printf("  \"txn\": {\"begins\": %" PRIu64 ", \"commits\": %" PRIu64
-              ", \"aborts\": %" PRIu64 "},\n",
-              report.txn_begins, report.txn_commits, report.txn_aborts);
-  std::printf("  \"trace\": {\"records\": %" PRIu64 ", \"events\": {",
-              report.records);
-  bool first = true;
-  for (const auto& [name, count] : report.event_counts) {
-    std::printf("%s\"%s\": %" PRIu64, first ? "" : ", ", name.c_str(), count);
-    first = false;
-  }
-  std::printf("}},\n");
-  std::printf("  \"latency\": {\"invoke\": ");
-  PrintQuantilesJson(Read(report.invoke_latency));
-  std::printf(", \"tiers\": ");
-  PrintTierLatencyJson(report.tier_latency);
-  std::printf("},\n");
-  std::printf("  \"abort_cost_global\": ");
-  PrintFitJson(report.global_model.Fit());
-  std::printf(",\n  \"grafts\": [\n");
-  size_t i = 0;
-  for (const auto& [trace_id, agg] : report.grafts) {
-    std::printf("    ");
-    PrintGraftAggJson(trace_id, agg);
-    std::printf("%s\n", ++i < report.grafts.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
-}
+// One kernel's stream: a chained follower feeding the report aggregator.
+struct KernelView {
+  KernelView(std::string key_in, std::string path_in)
+      : key(std::move(key_in)),
+        path(std::move(path_in)),
+        discovered(Clock::now()) {}
 
-void PrintReplayText(const char* mode, const std::string& path,
-                     const ReplayReport& report,
-                     const vino::spool::ReadStats& stats, Status status) {
-  std::printf("graftstat --%s %s\n\n", mode, path.c_str());
-  std::printf("spool: %" PRIu64 " batches (%" PRIu64 " corrupt skipped), %"
-              PRIu64 " records, %" PRIu64 " lost to ring wrap before the "
-              "drainer arrived%s%s [%.*s]\n",
-              stats.batches, stats.corrupt_batches, stats.records,
-              stats.lost_total, stats.truncated ? ", truncated tail" : "",
-              stats.closed ? ", closed cleanly" : "",
-              static_cast<int>(StatusName(status).size()),
-              StatusName(status).data());
-  std::printf("       %" PRIu64 " segment%s chained (seq %" PRIu64 "..%" PRIu64
-              ", %" PRIu64 " gap%s)%s\n\n",
-              stats.segments, stats.segments == 1 ? "" : "s",
-              stats.first_batch_seq,
-              stats.next_batch_seq > 0 ? stats.next_batch_seq - 1 : 0,
-              stats.seq_gaps, stats.seq_gaps == 1 ? "" : "s",
-              stats.rotated ? ", awaiting successor segment" : "");
-  std::printf("transactions: %" PRIu64 " begun, %" PRIu64 " committed, %"
-              PRIu64 " aborted\n\n",
-              report.txn_begins, report.txn_commits, report.txn_aborts);
-  std::printf("events:\n");
-  for (const auto& [name, count] : report.event_counts) {
-    std::printf("  %-16s %" PRIu64 "\n", name.c_str(), count);
-  }
-  std::printf("\nlatency (ns, bucket upper bounds):\n");
-  PrintQuantilesText("invoke", Read(report.invoke_latency));
-  PrintTierLatencyText(report.tier_latency);
-  std::printf("\nabort-cost model (paper §4.5: cost = a + b·L + c·G):\n");
-  PrintFitText("kernel-wide", report.global_model.Fit());
-  std::printf("\nper-graft:\n");
-  std::printf("  %-18s %12s %8s %8s %8s %8s\n", "graft", "invocations",
-              "aborts", "native", "tier0", "tier1");
-  for (const auto& [trace_id, agg] : report.grafts) {
-    char label[32];
-    std::snprintf(label, sizeof(label), "graft#%" PRIu64 "%s", trace_id,
-                  agg.degraded ? " [DEGRADED]" : "");
-    std::printf("  %-18s %12" PRIu64 " %8" PRIu64 " %8" PRIu64 " %8" PRIu64
-                " %8" PRIu64 "\n",
-                label, agg.invocations, agg.aborts, agg.untiered_runs,
-                agg.tier_runs[0], agg.tier_runs[1]);
-    PrintFitText("", agg.model.Fit());
-  }
-}
-
-// Exit policy: a truncated tail is normal for a live or torn spool (partial
-// report, exit 0); corruption or an unreadable header is an error.
-int ReplayExitCode(Status status) {
-  return IsOk(status) || status == Status::kSpoolTruncated ? 0 : 1;
-}
-
-int RunSpoolReplay(const std::string& path, bool json) {
-  std::vector<vino::trace::TaggedRecord> records;
-  vino::spool::ReadStats stats;
-  const Status status = vino::spool::ReadSpoolChain(path, records, &stats);
-  if (status == Status::kNotFound) {
-    std::fprintf(stderr, "graftstat: cannot open spool '%s'\n", path.c_str());
-    return 1;
-  }
-  ReplayReport report;
-  for (const auto& r : records) {
-    report.Add(r);
-  }
-  if (json) {
-    PrintReplayJson("spool", path, report, stats, status);
-  } else {
-    PrintReplayText("spool", path, report, stats, status);
-  }
-  return ReplayExitCode(status);
-}
-
-int RunSpoolFollow(const std::string& path, bool json, uint64_t interval_ms) {
-  vino::spool::ChainedFollower follower;
-  Status status = follower.Open(path);
-  // A spool whose header has not landed yet (or a file that does not exist
-  // yet) is a kernel mid-startup: wait for it, bounded at ~30 s.
-  for (int waits = 0;
-       (status == Status::kSpoolTruncated || status == Status::kNotFound) &&
-       waits < 300;
-       ++waits) {
-    ::usleep(static_cast<useconds_t>(interval_ms * 1000));
-    status = follower.Open(path);
-  }
-  if (!IsOk(status)) {
-    std::fprintf(stderr, "graftstat: cannot follow spool '%s' [%.*s]\n",
-                 path.c_str(),
-                 static_cast<int>(StatusName(status).size()),
-                 StatusName(status).data());
-    return 1;
-  }
-
-  ReplayReport report;
-  std::vector<vino::trace::TaggedRecord> batch;
-  while (true) {
+  // Opens lazily — a stream that is missing or whose header is short is
+  // retried next round — then folds every record now readable, across
+  // every segment of the chain, into the report.
+  void Poll(std::vector<vino::trace::TaggedRecord>& batch) {
+    if (OpenRetryable()) {
+      open_status = follower.Open(path);
+    }
+    if (!IsOk(open_status) || !IsOk(poll_status)) {
+      return;
+    }
     batch.clear();
-    status = follower.Poll(batch);
+    poll_status = follower.Poll(batch);
     for (const auto& r : batch) {
       report.Add(r);
     }
-    if (!json && !batch.empty()) {
-      std::fprintf(stderr,
-                   "follow: +%zu records (%" PRIu64 " total, %" PRIu64
-                   " txn aborts) [%s]\n",
-                   batch.size(), report.records, report.txn_aborts,
-                   follower.current_path().c_str());
-    }
-    if (!IsOk(status) || follower.closed()) {
-      break;
-    }
-    ::usleep(static_cast<useconds_t>(interval_ms * 1000));
   }
-  if (json) {
-    PrintReplayJson("follow", path, report, follower.stats(), status);
-  } else {
-    PrintReplayText("follow", path, report, follower.stats(), status);
+
+  bool OpenRetryable() const {
+    return open_status == Status::kNotFound ||
+           open_status == Status::kSpoolTruncated;
   }
-  return ReplayExitCode(status);
-}
 
-// ---------------------------------------------------------------------------
-// Fleet attach: every kernel spooling under one VINO_SPOOL directory,
-// multiplexed into per-kernel reports plus a fleet-union view.
+  // The one classification every attach form reports: an unopened stream
+  // keeps its open status, then unrecoverable corruption, any corrupt
+  // batch, a truncated tail, else OK.
+  Status status() const {
+    if (!IsOk(open_status)) {
+      return open_status;
+    }
+    if (!IsOk(poll_status)) {
+      return poll_status;
+    }
+    const vino::spool::ReadStats& stats = follower.stats();
+    if (stats.corrupt_batches > 0) {
+      return Status::kSpoolCorrupt;
+    }
+    return stats.truncated ? Status::kSpoolTruncated : Status::kOk;
+  }
 
-// One kernel's stream: `vspool.<pid>.<k>.bin` (plain) or the
-// `vspool.<pid>.<k>.s<n>.bin` segment family, keyed by "<pid>.<k>".
-struct KernelView {
-  KernelView(std::string key_in, std::string open_path_in)
-      : key(std::move(key_in)), open_path(std::move(open_path_in)) {}
+  // Under --follow: nothing more will come from this stream.
+  bool Finished(Clock::time_point now) const {
+    if (IsOk(open_status)) {
+      return !IsOk(poll_status) || follower.closed();
+    }
+    return !OpenRetryable() || now - discovered >= kAppearTimeout;
+  }
 
   std::string key;
-  std::string open_path;  // Chain base (segments) or the plain file.
+  std::string path;  // Chain open path: file, segment, or ring base.
   vino::spool::ChainedFollower follower;
   ReplayReport report;
-  bool open = false;
-  bool corrupt = false;
+  Status open_status = Status::kNotFound;  // kOk once the chain opened.
+  Status poll_status = Status::kOk;        // Sticky unrecoverable corruption.
+  Clock::time_point discovered;
 };
 
-// Scans `dir` for kernel spools; returns kernel key -> chain open path.
-// Segment families collapse onto their base so the chained follower picks
-// up the oldest live segment itself.
-std::map<std::string, std::string> ScanFleetDir(const std::string& dir) {
+using KernelViews = std::map<std::string, std::unique_ptr<KernelView>>;
+
+// Kernel key of a stream (a plain spool or a ring base):
+// `vspool.<pid>.<k>[.bin]` -> "<pid>.<k>"; any other spool keeps its name.
+std::string StreamKey(const std::string& stream) {
+  std::string name = std::filesystem::path(stream).filename().string();
+  if (name.ends_with(".bin")) {
+    name.resize(name.size() - 4);
+  }
+  return name.starts_with("vspool.") ? name.substr(7) : name;
+}
+
+// The stream a path names: segments collapse onto their ring base (the
+// chain then picks up the oldest live segment itself).
+std::string StreamOf(const std::string& path) {
+  std::string base;
+  uint64_t index = 0;
+  return vino::spool::ParseSegmentPath(path, &base, &index) ? base : path;
+}
+
+// Resolves an attach path to its streams, kernel key -> chain open path. A
+// directory holds one stream per `vspool.*.bin` family; anything else — a
+// file, a segment, a ring base — is one stream, opened where it points.
+std::map<std::string, std::string> ResolveStreams(const std::string& path,
+                                                  bool dir) {
   std::map<std::string, std::string> found;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
+  if (!dir) {
+    found.emplace(StreamKey(StreamOf(path)), path);
     return found;
   }
-  constexpr std::string_view kPrefix = "vspool.";
-  constexpr std::string_view kSuffix = ".bin";
-  while (struct dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name.size() <= kPrefix.size() + kSuffix.size() ||
-        name.compare(0, kPrefix.size(), kPrefix) != 0 ||
-        name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-            0) {
-      continue;
-    }
-    const std::string full = dir + "/" + name;
-    std::string base;
-    uint64_t index = 0;
-    if (vino::spool::ParseSegmentPath(full, &base, &index)) {
-      const std::string base_name = base.substr(base.rfind('/') + 1);
-      if (base_name.size() > kPrefix.size() &&
-          base_name.compare(0, kPrefix.size(), kPrefix) == 0) {
-        found.emplace(base_name.substr(kPrefix.size()), base);
-      }
-    } else {
-      found.emplace(
-          name.substr(kPrefix.size(),
-                      name.size() - kPrefix.size() - kSuffix.size()),
-          full);
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(path, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("vspool.") && name.ends_with(".bin")) {
+      const std::string stream = StreamOf(entry.path().string());
+      found.emplace(StreamKey(stream), stream);
     }
   }
-  ::closedir(d);
   return found;
 }
 
-// Polls one kernel's chain; returns true when records arrived. A spool
-// whose header has not landed yet stays unopened and is retried next round.
-bool PollKernel(KernelView& view,
-                std::vector<vino::trace::TaggedRecord>& batch) {
-  if (view.corrupt) {
-    return false;
-  }
-  if (!view.open) {
-    const Status status = view.follower.Open(view.open_path);
-    if (status == Status::kNotFound || status == Status::kSpoolTruncated) {
-      return false;
-    }
-    if (!IsOk(status)) {
-      view.corrupt = true;
-      return false;
-    }
-    view.open = true;
-  }
-  batch.clear();
-  const Status status = view.follower.Poll(batch);
-  for (const auto& r : batch) {
-    view.report.Add(r);
-  }
-  if (!IsOk(status)) {
-    view.corrupt = true;
-  }
-  return !batch.empty();
-}
-
-Status KernelStatus(const KernelView& view) {
-  if (view.corrupt) {
-    return Status::kSpoolCorrupt;
-  }
-  if (!view.open) {
-    return Status::kNotFound;
-  }
-  return view.follower.stats().truncated ? Status::kSpoolTruncated
-                                         : Status::kOk;
-}
-
-// Wakes the fleet loop when the spool directory changes: inotify on Linux
-// (new kernels, rotated segments, and appends all wake immediately), a
-// plain interval sleep elsewhere. Either way the loop rescans on wake, so
+// Wakes the follow loop when the watched directory changes: inotify on
+// Linux (new kernels, rotated segments, and appends all wake immediately),
+// a plain interval sleep elsewhere. Either way the loop rescans on wake, so
 // the inotify path is latency, not correctness.
 class FleetWaiter {
  public:
@@ -602,274 +528,241 @@ class FleetWaiter {
   int fd_ = -1;
 };
 
-// Fleet-union per-graft aggregate: the same graft (by trace id) merged
-// across every kernel that ran it. Trace ids are per-process counters, so
-// the union is meaningful for symmetric deployments — the same grafts
-// loaded in the same order on every kernel — which is the fleet the tool
-// targets; asymmetric fleets still get exact per-kernel views above.
-struct FleetGraftUnion {
-  uint64_t kernels = 0;
-  uint64_t invocations = 0;
-  uint64_t aborts = 0;
-  bool degraded = false;
+// Fleet union: the same graft (by trace id) merged across every kernel
+// that ran it. Trace ids are per-process counters, so the union is
+// meaningful for symmetric deployments — the same grafts loaded in the same
+// order on every kernel — which is the fleet the tool targets; asymmetric
+// fleets still get exact per-kernel views.
+struct FleetUnion {
+  uint64_t records = 0;
   AbortCostModel model;
-};
+  GraftAggs grafts;
 
-void PrintFleetJson(const std::string& dir,
-                    const std::map<std::string, std::unique_ptr<KernelView>>&
-                        kernels) {
-  uint64_t fleet_records = 0;
-  AbortCostModel fleet_model;
-  std::map<uint64_t, FleetGraftUnion> unions;
-  for (const auto& [key, view] : kernels) {
-    fleet_records += view->report.records;
-    fleet_model.Merge(view->report.global_model);
-    for (const auto& [trace_id, agg] : view->report.grafts) {
-      FleetGraftUnion& u = unions[trace_id];
-      ++u.kernels;
-      u.invocations += agg.invocations;
-      u.aborts += agg.aborts;
-      u.degraded = u.degraded || agg.degraded;
-      u.model.Merge(agg.model);
-    }
-  }
-
-  std::printf("{\n  \"mode\": \"fleet\",\n  \"dir\": \"%s\",\n", dir.c_str());
-  std::printf("  \"kernels\": [\n");
-  size_t i = 0;
-  for (const auto& [key, view] : kernels) {
-    const ReplayReport& report = view->report;
-    uint64_t native = 0;
-    uint64_t tiers[vino::kExecTierCount] = {};
-    for (const auto& [trace_id, agg] : report.grafts) {
-      native += agg.untiered_runs;
-      for (size_t t = 0; t < vino::kExecTierCount; ++t) {
-        tiers[t] += agg.tier_runs[t];
+  explicit FleetUnion(const KernelViews& views) {
+    for (const auto& [key, view] : views) {
+      records += view->report.records;
+      model.Merge(view->report.global_model);
+      for (const auto& [trace_id, agg] : view->report.grafts) {
+        ++grafts[trace_id].kernels;
+        grafts[trace_id].Merge(agg);
       }
     }
-    std::printf("    {\"kernel\": \"%s\", \"spool\": ", key.c_str());
-    PrintSpoolStatsJson(view->open_path, view->follower.stats(),
-                        KernelStatus(*view));
+  }
+};
+
+void PrintSpoolStatsJson(const KernelView& view) {
+  const vino::spool::ReadStats& stats = view.follower.stats();
+  std::printf("{\"path\": ");
+  PrintJsonString(view.path);
+  std::printf(", \"status\": ");
+  PrintJsonString(StatusName(view.status()));
+  std::printf(", \"batches\": %" PRIu64 ", \"corrupt_batches\": %" PRIu64
+              ", \"records\": %" PRIu64 ", \"lost_total\": %" PRIu64
+              ", \"truncated\": %s, \"closed\": %s, \"rotated\": %s, "
+              "\"segments\": %" PRIu64 ", \"first_batch_seq\": %" PRIu64
+              ", \"seq_gaps\": %" PRIu64 "}",
+              stats.batches, stats.corrupt_batches, stats.records,
+              stats.lost_total, stats.truncated ? "true" : "false",
+              stats.closed ? "true" : "false",
+              stats.rotated ? "true" : "false", stats.segments,
+              stats.first_batch_seq, stats.seq_gaps);
+}
+
+void PrintReportJson(const char* mode, const std::string& path,
+                     const KernelViews& views) {
+  std::printf("{\n  \"mode\": \"%s\",\n  \"path\": ", mode);
+  PrintJsonString(path);
+  std::printf(",\n  \"kernels\": [");
+  size_t i = 0;
+  for (const auto& [key, view] : views) {
+    const ReplayReport& report = view->report;
+    GraftAgg all;  // The kernel's invocations by execution slot.
+    for (const auto& [trace_id, agg] : report.grafts) {
+      all.Merge(agg);
+    }
+    std::printf("%s\n    {\"kernel\": ", i++ == 0 ? "" : ",");
+    PrintJsonString(key);
+    std::printf(", \"spool\": ");
+    PrintSpoolStatsJson(*view);
     std::printf(",\n     \"txn\": {\"begins\": %" PRIu64
                 ", \"commits\": %" PRIu64 ", \"aborts\": %" PRIu64 "},\n",
                 report.txn_begins, report.txn_commits, report.txn_aborts);
-    std::printf("     \"runs\": {\"native\": %" PRIu64 ", \"tier0\": %" PRIu64
-                ", \"tier1\": %" PRIu64 "},\n",
-                native, tiers[0], tiers[1]);
-    std::printf("     \"latency\": {\"invoke\": ");
+    std::printf("     \"runs\": ");
+    PrintRunsJson(all.runs);
+    std::printf(",\n     \"trace\": {\"records\": %" PRIu64 ", \"events\": ",
+                report.records);
+    PrintEventsJson(report.event_counts);
+    std::printf("},\n     \"latency\": {\"invoke\": ");
     PrintQuantilesJson(Read(report.invoke_latency));
     std::printf(", \"tiers\": ");
     PrintTierLatencyJson(report.tier_latency);
     std::printf("},\n     \"abort_cost\": ");
     PrintFitJson(report.global_model.Fit());
-    std::printf(",\n     \"grafts\": [");
-    size_t j = 0;
-    for (const auto& [trace_id, agg] : report.grafts) {
-      std::printf("%s\n       ", j++ == 0 ? "" : ",");
-      PrintGraftAggJson(trace_id, agg);
-    }
-    std::printf("%s]}%s\n", j == 0 ? "" : "\n     ",
-                ++i < kernels.size() ? "," : "");
+    std::printf(",\n     \"grafts\": ");
+    PrintGraftsJson(report.grafts, "       ");
+    std::printf("}");
   }
-  std::printf("  ],\n");
-  std::printf("  \"fleet\": {\"kernels\": %zu, \"records\": %" PRIu64
+  const FleetUnion fleet(views);
+  std::printf("%s],\n  \"fleet\": {\"kernels\": %zu, \"records\": %" PRIu64
               ", \"abort_cost_union\": ",
-              kernels.size(), fleet_records);
-  PrintFitJson(fleet_model.Fit());
-  std::printf(",\n    \"grafts\": [\n");
-  i = 0;
-  for (const auto& [trace_id, u] : unions) {
-    std::printf("      {\"trace_id\": %" PRIu64 ", \"kernels\": %" PRIu64
-                ", \"invocations\": %" PRIu64 ", \"aborts\": %" PRIu64
-                ", \"degraded\": %s, \"abort_cost\": ",
-                trace_id, u.kernels, u.invocations, u.aborts,
-                u.degraded ? "true" : "false");
-    PrintFitJson(u.model.Fit());
-    std::printf("}%s\n", ++i < unions.size() ? "," : "");
-  }
-  std::printf("    ]}\n}\n");
+              views.empty() ? "" : "\n  ", views.size(), fleet.records);
+  PrintFitJson(fleet.model.Fit());
+  std::printf(",\n    \"grafts\": ");
+  PrintGraftsJson(fleet.grafts, "      ");
+  std::printf("}\n}\n");
 }
 
-void PrintFleetText(const std::string& dir,
-                    const std::map<std::string, std::unique_ptr<KernelView>>&
-                        kernels) {
-  std::printf("graftstat --fleet %s (%zu kernel%s)\n\n", dir.c_str(),
-              kernels.size(), kernels.size() == 1 ? "" : "s");
-  std::printf("  %-16s %9s %7s %5s %5s %9s %8s %7s %7s %7s %s\n", "kernel",
-              "records", "batches", "segs", "lost", "txn c/a", "native",
-              "tier0", "tier1", "grafts", "state");
-  uint64_t fleet_records = 0;
-  AbortCostModel fleet_model;
-  std::map<uint64_t, FleetGraftUnion> unions;
-  for (const auto& [key, view] : kernels) {
+void PrintReportText(const char* mode, const std::string& path,
+                     const KernelViews& views) {
+  std::printf("graftstat --%s %s (%zu kernel%s)\n", mode, path.c_str(),
+              views.size(), views.size() == 1 ? "" : "s");
+  for (const auto& [key, view] : views) {
     const ReplayReport& report = view->report;
     const vino::spool::ReadStats& stats = view->follower.stats();
-    uint64_t native = 0;
-    uint64_t tiers[vino::kExecTierCount] = {};
-    for (const auto& [trace_id, agg] : report.grafts) {
-      native += agg.untiered_runs;
-      for (size_t t = 0; t < vino::kExecTierCount; ++t) {
-        tiers[t] += agg.tier_runs[t];
-      }
-      FleetGraftUnion& u = unions[trace_id];
-      ++u.kernels;
-      u.invocations += agg.invocations;
-      u.aborts += agg.aborts;
-      u.degraded = u.degraded || agg.degraded;
-      u.model.Merge(agg.model);
-    }
-    fleet_records += report.records;
-    fleet_model.Merge(report.global_model);
-    char txn[24];
-    std::snprintf(txn, sizeof(txn), "%" PRIu64 "/%" PRIu64, report.txn_commits,
-                  report.txn_aborts);
-    const char* state = view->corrupt ? "corrupt"
-                        : !view->open ? "pending"
-                        : view->follower.closed() ? "closed"
-                                                  : "live";
-    std::printf("  %-16s %9" PRIu64 " %7" PRIu64 " %5" PRIu64 " %5" PRIu64
-                " %9s %8" PRIu64 " %7" PRIu64 " %7" PRIu64 " %7zu %s\n",
-                key.c_str(), report.records, stats.batches, stats.segments,
-                stats.lost_total, txn, native, tiers[0], tiers[1],
-                report.grafts.size(), state);
+    const std::string_view status = StatusName(view->status());
+    std::printf("\n== kernel %s (%s)\n", key.c_str(), view->path.c_str());
+    std::printf("spool: %" PRIu64 " batches (%" PRIu64 " corrupt skipped), %"
+                PRIu64 " records, %" PRIu64 " lost to ring wrap before the "
+                "drainer arrived%s%s [%.*s]\n",
+                stats.batches, stats.corrupt_batches, stats.records,
+                stats.lost_total, stats.truncated ? ", truncated tail" : "",
+                stats.closed ? ", closed cleanly" : "",
+                static_cast<int>(status.size()), status.data());
+    std::printf("       %" PRIu64 " segment%s chained (seq %" PRIu64
+                "..%" PRIu64 ", %" PRIu64 " gap%s)%s\n\n",
+                stats.segments, stats.segments == 1 ? "" : "s",
+                stats.first_batch_seq,
+                stats.next_batch_seq > 0 ? stats.next_batch_seq - 1 : 0,
+                stats.seq_gaps, stats.seq_gaps == 1 ? "" : "s",
+                stats.rotated ? ", awaiting successor segment" : "");
+    std::printf("transactions: %" PRIu64 " begun, %" PRIu64 " committed, %"
+                PRIu64 " aborted\n\n",
+                report.txn_begins, report.txn_commits, report.txn_aborts);
+    std::printf("events:\n");
+    PrintEventsText(report.event_counts);
+    std::printf("\nlatency (ns, bucket upper bounds):\n");
+    PrintQuantilesText("invoke", Read(report.invoke_latency));
+    PrintTierLatencyText(report.tier_latency);
+    std::printf("\nabort-cost model (paper §4.5: cost = a + b·L + c·G):\n");
+    PrintFitText("kernel-wide", report.global_model.Fit());
+    std::printf("\nper-graft:\n");
+    PrintGraftsText(report.grafts);
   }
-  std::printf("\nfleet-union abort-cost (cost = a + b·L + c·G, %" PRIu64
-              " records):\n",
-              fleet_records);
-  PrintFitText("all-kernels", fleet_model.Fit());
-  for (const auto& [trace_id, u] : unions) {
-    char label[48];
-    std::snprintf(label, sizeof(label),
-                  "graft#%" PRIu64 " ×%" PRIu64 "%s", trace_id, u.kernels,
-                  u.degraded ? " [DEGRADED]" : "");
-    PrintFitText(label, u.model.Fit());
+  if (views.size() < 2) {
+    return;  // One kernel is its own union.
   }
+  const FleetUnion fleet(views);
+  std::printf("\n== fleet union (%zu kernels, %" PRIu64 " records)\n",
+              views.size(), fleet.records);
+  PrintFitText("all-kernels", fleet.model.Fit());
+  std::printf("\nper-graft (×kernels that ran it):\n");
+  PrintGraftsText(fleet.grafts);
 }
 
-int RunFleet(const std::string& dir, bool json, uint64_t interval_ms,
-             bool once) {
-  std::map<std::string, std::unique_ptr<KernelView>> kernels;
-  FleetWaiter waiter(dir);
+// The attach loop behind --spool and --follow: resolve PATH to streams and
+// poll every stream, once (--spool: what is on disk now) or on every change
+// until every stream has finished (--follow).
+int Attach(const std::string& path, bool follow, bool json,
+           uint64_t interval_ms) {
+  const char* mode = follow ? "follow" : "spool";
+  std::error_code ec;
+  const bool dir = std::filesystem::is_directory(path, ec);
+  KernelViews views;
+  const std::string parent = std::filesystem::path(path).parent_path();
+  FleetWaiter waiter(dir ? path : parent.empty() ? "." : parent);
   std::vector<vino::trace::TaggedRecord> batch;
+  const Clock::time_point start = Clock::now();
   uint64_t last_total = 0;
   while (true) {
-    for (const auto& [key, path] : ScanFleetDir(dir)) {
-      if (kernels.find(key) == kernels.end()) {
-        kernels.emplace(key, std::make_unique<KernelView>(key, path));
+    for (const auto& [key, stream] : ResolveStreams(path, dir)) {
+      if (views.find(key) == views.end()) {
+        views.emplace(key, std::make_unique<KernelView>(key, stream));
       }
     }
-    bool progress = false;
-    for (auto& [key, view] : kernels) {
-      progress = PollKernel(*view, batch) || progress;
+    for (auto& [key, view] : views) {
+      view->Poll(batch);
     }
-    if (once) {
-      // Scrape mode: drain everything currently on disk, then report.
-      if (!progress) {
-        break;
-      }
-      continue;
+    if (!follow) {
+      break;
     }
-    if (!json && progress) {
-      uint64_t total = 0;
-      for (const auto& [key, view] : kernels) {
-        total += view->report.records;
-      }
-      if (total != last_total) {
-        std::fprintf(stderr, "fleet: %zu kernels, %" PRIu64 " records\n",
-                     kernels.size(), total);
-        last_total = total;
-      }
+    uint64_t total = 0;
+    const Clock::time_point now = Clock::now();
+    bool finished = !views.empty() || now - start >= kAppearTimeout;
+    for (const auto& [key, view] : views) {
+      total += view->report.records;
+      finished = finished && view->Finished(now);
     }
-    bool all_done = !kernels.empty();
-    for (const auto& [key, view] : kernels) {
-      all_done = all_done &&
-                 (view->corrupt || (view->open && view->follower.closed()));
+    if (!json && total != last_total) {
+      std::fprintf(stderr, "follow: %zu stream%s, %" PRIu64 " records\n",
+                   views.size(), views.size() == 1 ? "" : "s", total);
+      last_total = total;
     }
-    if (all_done) {
+    if (finished) {
       break;
     }
     waiter.Wait(interval_ms);
   }
 
   if (json) {
-    PrintFleetJson(dir, kernels);
+    PrintReportJson(mode, path, views);
   } else {
-    PrintFleetText(dir, kernels);
+    PrintReportText(mode, path, views);
   }
-  if (kernels.empty()) {
+  if (views.empty()) {
     std::fprintf(stderr, "graftstat: no kernel spools under '%s'\n",
-                 dir.c_str());
+                 path.c_str());
     return 1;
   }
-  for (const auto& [key, view] : kernels) {
-    if (view->corrupt) {
-      return 1;
+  int exit_code = 0;
+  for (const auto& [key, view] : views) {
+    const Status status = view->status();
+    if (!IsOk(status) && status != Status::kSpoolTruncated) {
+      std::fprintf(stderr, "graftstat: spool '%s' [%.*s]\n",
+                   view->path.c_str(),
+                   static_cast<int>(StatusName(status).size()),
+                   StatusName(status).data());
+      exit_code = 1;
     }
   }
-  return 0;
+  return exit_code;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bool json = false;
-  bool once = false;
+  bool follow = false;
   uint64_t invocations = 2000;
   uint64_t interval_ms = 100;
-  std::string spool_path;    // --spool: replay.
-  std::string follow_path;   // --follow: tail.
-  std::string fleet_dir;     // --fleet / --follow-dir: multiplexed tail.
-  std::string spool_out;     // --spool-out: spool the self-test run.
-  uint64_t spool_out_segment_bytes = 0;  // 0 = no rotation flag given.
-  uint64_t spool_out_segments = 0;       // 0 = keep the default cap.
+  std::string attach_path;  // --spool / --follow.
+  std::string spool_out;    // --spool-out: spool the self-test run.
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
-    } else if (std::strcmp(argv[i], "--once") == 0) {
-      once = true;
     } else if (std::strcmp(argv[i], "--invocations") == 0 && i + 1 < argc) {
       invocations = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--interval-ms") == 0 && i + 1 < argc) {
       interval_ms = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--spool") == 0 && i + 1 < argc) {
-      spool_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--follow") == 0 && i + 1 < argc) {
-      follow_path = argv[++i];
-    } else if ((std::strcmp(argv[i], "--fleet") == 0 ||
-                std::strcmp(argv[i], "--follow-dir") == 0) &&
+    } else if ((std::strcmp(argv[i], "--spool") == 0 ||
+                std::strcmp(argv[i], "--follow") == 0) &&
                i + 1 < argc) {
-      fleet_dir = argv[++i];
+      follow = std::strcmp(argv[i], "--follow") == 0;
+      attach_path = argv[++i];
     } else if (std::strcmp(argv[i], "--spool-out") == 0 && i + 1 < argc) {
       spool_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--spool-out-segment-bytes") == 0 &&
-               i + 1 < argc) {
-      spool_out_segment_bytes = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--spool-out-segments") == 0 &&
-               i + 1 < argc) {
-      spool_out_segments = std::strtoull(argv[++i], nullptr, 10);
     } else {
       std::fprintf(stderr,
                    "usage: graftstat [--json] [--invocations N] "
                    "[--spool-out FILE]\n"
-                   "                 [--spool-out-segment-bytes N] "
-                   "[--spool-out-segments M]\n"
-                   "       graftstat --spool FILE [--json]\n"
-                   "       graftstat --follow FILE [--json] "
-                   "[--interval-ms N]\n"
-                   "       graftstat --fleet DIR [--json] [--once] "
+                   "       graftstat --spool PATH [--json]\n"
+                   "       graftstat --follow PATH [--json] "
                    "[--interval-ms N]\n");
       return 2;
     }
   }
 
-  if (!spool_path.empty()) {
-    return RunSpoolReplay(spool_path, json);
-  }
-  if (!follow_path.empty()) {
-    return RunSpoolFollow(follow_path, json, interval_ms == 0 ? 1 : interval_ms);
-  }
-  if (!fleet_dir.empty()) {
-    return RunFleet(fleet_dir, json, interval_ms == 0 ? 1 : interval_ms, once);
+  if (!attach_path.empty()) {
+    return Attach(attach_path, follow, json, interval_ms == 0 ? 1 : interval_ms);
   }
 
   vino::trace::SetEnabled(true);
@@ -883,13 +776,6 @@ int main(int argc, char** argv) {
   vino::spool::SpoolDrainer::Options spool_options;
   spool_options.path = spool_out;
   const bool want_spool = vino::spool::DeriveEnvSpoolOptions(&spool_options);
-  if (spool_out_segment_bytes > 0) {
-    spool_options.rotation.segment_bytes = spool_out_segment_bytes;
-  }
-  if (spool_out_segments > 0) {
-    spool_options.rotation.max_segments =
-        static_cast<uint32_t>(spool_out_segments);
-  }
   std::unique_ptr<vino::spool::SpoolDrainer> drainer;
   if (want_spool) {
     auto started = vino::spool::SpoolDrainer::Start(spool_options);
@@ -1037,17 +923,33 @@ int main(int argc, char** argv) {
       recent_predicted_ns > 0.0 ? recent.mean_cost_ns / recent_predicted_ns
                                 : 0.0;
 
+  GraftAggs rows;
+  for (const auto& g : grafts) {
+    GraftAgg& row = rows[g->trace_id()];
+    row.name = g->name();
+    row.invocations = g->invocations();
+    row.aborts = g->aborts();
+    row.degraded = g->degraded();
+    row.runs[0] = g->invocations();
+    for (size_t t = 0; t < vino::kExecTierCount; ++t) {
+      row.runs[t + 1] = g->tier_runs(static_cast<vino::ExecTier>(t));
+      row.runs[0] -= row.runs[t + 1];
+    }
+    row.model.Merge(g->abort_cost());
+  }
+
   // ---- Report ---------------------------------------------------------
   if (json) {
     std::printf("{\n  \"invocations\": %" PRIu64 ",\n", invocations);
     if (drainer != nullptr) {
       const vino::spool::SpoolDrainer::Stats ds = drainer->stats();
-      std::printf("  \"spool_out\": {\"path\": \"%s\", \"records\": %" PRIu64
-                  ", \"batches\": %" PRIu64 ", \"lost_total\": %" PRIu64
-                  ", \"segments\": %" PRIu64
+      std::printf("  \"spool_out\": {\"path\": ");
+      PrintJsonString(spool_out);
+      std::printf(", \"records\": %" PRIu64 ", \"batches\": %" PRIu64
+                  ", \"lost_total\": %" PRIu64 ", \"segments\": %" PRIu64
                   ", \"segments_reclaimed\": %" PRIu64 "},\n",
-                  spool_out.c_str(), ds.records, ds.batches, ds.lost_total,
-                  ds.segments, ds.segments_reclaimed);
+                  ds.records, ds.batches, ds.lost_total, ds.segments,
+                  ds.segments_reclaimed);
     }
     std::printf("  \"txn\": {\"begins\": %" PRIu64 ", \"commits\": %" PRIu64
                 ", \"aborts\": %" PRIu64 ", \"slab_misses\": %" PRIu64
@@ -1056,15 +958,11 @@ int main(int argc, char** argv) {
                 txn.slab_overflows);
     std::printf("  \"trace\": {\"records\": %" PRIu64 ", \"dropped\": %" PRIu64
                 ", \"overwritten\": %" PRIu64 ", \"rings\": %" PRIu64
-                ", \"events\": {",
+                ", \"events\": ",
                 snap_stats.records, snap_stats.dropped, snap_stats.overwritten,
                 snap_stats.rings);
-    bool first = true;
-    for (const auto& [name, count] : event_counts) {
-      std::printf("%s\"%s\": %" PRIu64, first ? "" : ", ", name.c_str(), count);
-      first = false;
-    }
-    std::printf("}},\n");
+    PrintEventsJson(event_counts);
+    std::printf("},\n");
     std::printf("  \"latency\": {\"invoke\": ");
     PrintQuantilesJson(invoke_q);
     std::printf(", \"commit\": ");
@@ -1085,23 +983,9 @@ int main(int argc, char** argv) {
                 recent.samples, recent.total, recent.mean_locks,
                 recent.mean_undo, recent.mean_cost_ns, recent_predicted_ns,
                 recent_ratio);
-    std::printf(",\n  \"grafts\": [\n");
-    for (size_t i = 0; i < grafts.size(); ++i) {
-      const auto& g = grafts[i];
-      const uint64_t tier0 = g->tier_runs(vino::ExecTier::kTier0);
-      const uint64_t tier1 = g->tier_runs(vino::ExecTier::kTier1);
-      std::printf("    {\"name\": \"%s\", \"trace_id\": %" PRIu64
-                  ", \"invocations\": %" PRIu64 ", \"aborts\": %" PRIu64
-                  ", \"degraded\": %s"
-                  ", \"runs\": {\"native\": %" PRIu64 ", \"tier0\": %" PRIu64
-                  ", \"tier1\": %" PRIu64 "}, \"abort_cost\": ",
-                  g->name().c_str(), g->trace_id(), g->invocations(),
-                  g->aborts(), g->degraded() ? "true" : "false",
-                  g->invocations() - tier0 - tier1, tier0, tier1);
-      PrintFitJson(g->abort_cost().Fit());
-      std::printf("}%s\n", i + 1 < grafts.size() ? "," : "");
-    }
-    std::printf("  ]\n}\n");
+    std::printf(",\n  \"grafts\": ");
+    PrintGraftsJson(rows, "    ");
+    std::printf("\n}\n");
     return 0;
   }
 
@@ -1116,9 +1000,7 @@ int main(int argc, char** argv) {
               " rings)\n",
               snap_stats.records, snap_stats.dropped, snap_stats.overwritten,
               snap_stats.rings);
-  for (const auto& [name, count] : event_counts) {
-    std::printf("  %-16s %" PRIu64 "\n", name.c_str(), count);
-  }
+  PrintEventsText(event_counts);
   if (drainer != nullptr) {
     const vino::spool::SpoolDrainer::Stats ds = drainer->stats();
     std::printf("spooled: %" PRIu64 " records in %" PRIu64 " batches -> %s "
@@ -1148,19 +1030,6 @@ int main(int argc, char** argv) {
                 recent_ratio);
   }
   std::printf("\nper-graft:\n");
-  std::printf("  %-18s %12s %8s %8s %8s %8s\n", "graft", "invocations",
-              "aborts", "native", "tier0", "tier1");
-  for (const auto& g : grafts) {
-    const uint64_t tier0 = g->tier_runs(vino::ExecTier::kTier0);
-    const uint64_t tier1 = g->tier_runs(vino::ExecTier::kTier1);
-    char label[48];
-    std::snprintf(label, sizeof(label), "%s%s", g->name().c_str(),
-                  g->degraded() ? " [DEGRADED]" : "");
-    std::printf("  %-18s %12" PRIu64 " %8" PRIu64 " %8" PRIu64 " %8" PRIu64
-                " %8" PRIu64 "\n",
-                label, g->invocations(), g->aborts(),
-                g->invocations() - tier0 - tier1, tier0, tier1);
-    PrintFitText("", g->abort_cost().Fit());
-  }
+  PrintGraftsText(rows);
   return 0;
 }

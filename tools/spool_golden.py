@@ -15,18 +15,29 @@ matches the in-process one:
   * the spool itself reads back clean: closed, no loss, no corruption.
 
 The same checks then run against a *rotated* spool: the identical workload
-written as a segment ring (small segments, cap high enough that nothing is
-reclaimed) must replay to an identical report through the chain reader —
-rotation is provably lossless, not just plausible.
+written as a segment ring (small segments via VINO_SPOOL_SEGMENT_BYTES, a
+VINO_SPOOL_SEGMENTS cap high enough that nothing is reclaimed) must replay
+to an identical report through the chain reader — rotation is provably
+lossless, not just plausible.
 
-Finally --follow on each closed spool must terminate (close trailer) and
-exit 0.
+--follow on each closed spool must terminate (close trailer), exit 0, and
+print exactly the --spool report but for "mode": both are the one attach
+path, one draining what is on disk and one tailing it.
+
+The plain spool lives under a directory whose name contains a '"', so every
+path graftstat echoes must come back JSON-escaped.
+
+Finally a copy of the plain spool with one payload byte of its first batch
+flipped must classify the same way through every attach form: --spool FILE,
+--follow FILE, and --spool DIR each exit 1 with status SPOOL_CORRUPT and
+exactly one corrupt batch.
 
 Usage: spool_golden.py <graftstat-binary> <workdir>
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -38,14 +49,28 @@ def fail(message):
     sys.exit(1)
 
 
-def run_json(argv):
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
-    if proc.returncode != 0:
-        fail(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
+def run_json(argv, env=None, expect_exit=0):
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                          env=env)
+    if proc.returncode != expect_exit:
+        fail(f"{' '.join(argv)} exited {proc.returncode}, expected "
+             f"{expect_exit}:\n{proc.stderr}")
     try:
         return json.loads(proc.stdout)
     except json.JSONDecodeError as e:
         fail(f"{' '.join(argv)} printed invalid JSON ({e}):\n{proc.stdout}")
+
+
+def only_kernel(tag, report, path):
+    """The single kernel object of a one-stream attach report."""
+    if report["path"] != path or len(report["kernels"]) != 1:
+        fail(f"{tag}: expected one kernel for {path!r}: "
+             f"path {report['path']!r}, {len(report['kernels'])} kernels")
+    kernel = report["kernels"][0]
+    if kernel["spool"]["path"] != path:
+        fail(f"{tag}: spool path did not round-trip: "
+             f"{kernel['spool']['path']!r} vs {path!r}")
+    return kernel
 
 
 def check_fit_close(label, live, replay):
@@ -77,7 +102,8 @@ def check_tier_sum(label, report):
 
 def check_replay(tag, graftstat, live, spool):
     """Replays `spool` and checks it reproduces the `live` report exactly."""
-    replay = run_json([graftstat, "--spool", spool, "--json"])
+    spool_report = run_json([graftstat, "--spool", spool, "--json"])
+    replay = only_kernel(tag, spool_report, spool)
 
     # The spooled stream must be lossless and intact, or nothing else holds.
     rs = replay["spool"]
@@ -126,7 +152,7 @@ def check_replay(tag, graftstat, live, spool):
     # live "abort_cost_global" is the txn-internal model, a narrower cost
     # window, and legitimately differs).
     check_fit_close(f"{tag}: all-grafts", live["abort_cost_grafts"],
-                    replay["abort_cost_global"])
+                    replay["abort_cost"])
 
     # Same recorded durations -> identical latency histograms, and the
     # replayed per-tier counts still partition the invocation count.
@@ -143,8 +169,9 @@ def check_replay(tag, graftstat, live, spool):
                  f"{lt['count']} vs {rt['count']}")
 
     # A closed spool must terminate --follow promptly, exit 0.
-    follow = run_json([graftstat, "--follow", spool, "--json",
-                       "--interval-ms", "10"])
+    follow_report = run_json([graftstat, "--follow", spool, "--json",
+                              "--interval-ms", "10"])
+    follow = only_kernel(f"{tag}: --follow", follow_report, spool)
     if not follow["spool"]["closed"]:
         fail(f"{tag}: --follow did not see the close trailer: "
              f"{follow['spool']}")
@@ -152,19 +179,57 @@ def check_replay(tag, graftstat, live, spool):
                          if k in follow["txn"]}:
         fail(f"{tag}: --follow txn counts diverged: "
              f"{follow['txn']} vs {live['txn']}")
+
+    # One attach path: following a closed chain to its end is replaying it.
+    if (spool_report["mode"], follow_report["mode"]) != ("spool", "follow"):
+        fail(f"{tag}: modes {spool_report['mode']!r} / "
+             f"{follow_report['mode']!r}")
+    if dict(follow_report, mode="spool") != spool_report:
+        fail(f"{tag}: --follow report differs from --spool beyond mode:\n"
+             f"{json.dumps(follow_report, sort_keys=True)}\nvs\n"
+             f"{json.dumps(spool_report, sort_keys=True)}")
     return rs, aborts_total, len(live_grafts)
+
+
+def check_corrupt(graftstat, golden, workdir):
+    """One flipped payload byte classifies alike through every attach form."""
+    corrupt_dir = os.path.join(workdir, "corrupt")
+    shutil.rmtree(corrupt_dir, ignore_errors=True)
+    os.makedirs(corrupt_dir)
+    corrupt = os.path.join(corrupt_dir, "vspool.9.0.bin")
+    shutil.copyfile(golden, corrupt)
+    # File header (16 B) + first batch header (32 B) + 5 bytes of payload.
+    with open(corrupt, "r+b") as f:
+        f.seek(16 + 32 + 5)
+        byte = f.read(1)[0]
+        f.seek(16 + 32 + 5)
+        f.write(bytes([byte ^ 0xFF]))
+    for argv in (["--spool", corrupt],
+                 ["--follow", corrupt, "--interval-ms", "10"],
+                 ["--spool", corrupt_dir]):
+        report = run_json([graftstat, "--json"] + argv, expect_exit=1)
+        tag = f"corrupt {argv[0]} {argv[1]}"
+        kernels = report["kernels"]
+        if len(kernels) != 1:
+            fail(f"{tag}: expected one kernel, got {len(kernels)}")
+        cs = kernels[0]["spool"]
+        if cs["status"] != "SPOOL_CORRUPT" or cs["corrupt_batches"] != 1:
+            fail(f"{tag}: corrupt batch not classified: {cs}")
 
 
 def main():
     if len(sys.argv) != 3:
         fail(f"usage: {sys.argv[0]} <graftstat-binary> <workdir>")
     graftstat, workdir = sys.argv[1], sys.argv[2]
-    os.makedirs(workdir, exist_ok=True)
+    weird = os.path.join(workdir, 'we"ird')
+    os.makedirs(weird, exist_ok=True)
 
     # --- Plain single-file spool -----------------------------------------
-    spool = os.path.join(workdir, "golden.vspool")
+    spool = os.path.join(weird, "golden.vspool")
     live = run_json([graftstat, "--json", "--invocations", str(INVOCATIONS),
                      "--spool-out", spool])
+    if live["spool_out"]["path"] != spool:
+        fail(f"live spool_out path did not round-trip: {live['spool_out']}")
     if live["spool_out"]["lost_total"] != 0:
         fail(f"live run lost records: {live['spool_out']}")
     check_tier_sum("live", live)
@@ -175,10 +240,10 @@ def main():
     # Small segments force several rotations; the generous cap means nothing
     # is reclaimed, so the chain must replay to the *identical* report.
     rbase = os.path.join(workdir, "golden.rspool")
+    renv = dict(os.environ, VINO_SPOOL_SEGMENT_BYTES="65536",
+                VINO_SPOOL_SEGMENTS="64")
     rlive = run_json([graftstat, "--json", "--invocations", str(INVOCATIONS),
-                      "--spool-out", rbase,
-                      "--spool-out-segment-bytes", "65536",
-                      "--spool-out-segments", "64"])
+                      "--spool-out", rbase], env=renv)
     rso = rlive["spool_out"]
     if rso["lost_total"] != 0:
         fail(f"rotated live run lost records: {rso}")
@@ -191,10 +256,14 @@ def main():
     if rrs["segments"] < 2:
         fail(f"chain replay collapsed to one segment: {rrs}")
 
+    # --- One corrupt batch, every attach form ----------------------------
+    check_corrupt(graftstat, spool, weird)
+
     print(f"spool_golden: OK ({INVOCATIONS} invocations, "
           f"{rs['records']} records plain + {rrs['records']} rotated over "
           f"{rrs['segments']} segments, {aborts_total} aborts, "
-          f"{graft_count} grafts match)")
+          f"{graft_count} grafts match; corrupt batch flagged by every "
+          f"attach form)")
 
 
 if __name__ == "__main__":
