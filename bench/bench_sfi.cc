@@ -8,7 +8,9 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/gbench_main.h"
+#include "src/base/rng.h"
 #include "src/base/sha256.h"
+#include "src/fuzz/program_gen.h"
 #include "src/sfi/assembler.h"
 #include "src/sfi/callable_table.h"
 #include "src/sfi/host.h"
@@ -262,16 +264,33 @@ void BM_TierStreamCipher(benchmark::State& state) {
 }
 BENCHMARK(BM_TierStreamCipher)->ArgName("tier")->Arg(0)->Arg(1);
 
-void BM_VerifySandbox(benchmark::State& state) {
-  // Load-time cost of the proof itself (a one-time charge per load,
-  // amortized over every run of the graft).
-  const Program p = LoadStoreProgram(true, /*elide=*/true);
+// The largest graft class the graft-churn workload loads: a 3000-instruction
+// RandomProgram, about 4.2k instructions after instrumentation.
+Program R3000Program() {
+  Rng rng(3000);
+  fuzz::GenOptions gen;
+  gen.length = 3000;
+  return *Instrument(fuzz::RandomProgram(rng, gen), MisfitOptions{16});
+}
+
+void VerifySandboxOf(benchmark::State& state, const Program& p) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(VerifySandbox(p));
   }
   state.counters["ins"] = static_cast<double>(p.code.size());
 }
+
+void BM_VerifySandbox(benchmark::State& state) {
+  // Load-time cost of the proof itself (a one-time charge per load,
+  // amortized over every run of the graft).
+  VerifySandboxOf(state, LoadStoreProgram(true, /*elide=*/true));
+}
 BENCHMARK(BM_VerifySandbox);
+
+void BM_VerifySandbox_R3000(benchmark::State& state) {
+  VerifySandboxOf(state, R3000Program());
+}
+BENCHMARK(BM_VerifySandbox_R3000);
 
 void BM_CallableTableProbeHit(benchmark::State& state) {
   CallableTable table;
@@ -328,24 +347,40 @@ void BM_MisfitInstrumentation(benchmark::State& state) {
 }
 BENCHMARK(BM_MisfitInstrumentation);
 
-void BM_Sha256_8K(benchmark::State& state) {
-  std::vector<uint8_t> data(8192, 0xcd);
+void Sha256Of(benchmark::State& state, size_t bytes) {
+  std::vector<uint8_t> data(bytes, 0xcd);
   for (auto _ : state) {
     benchmark::DoNotOptimize(Sha256::Hash(data.data(), data.size()));
   }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 8192);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
 }
+
+void BM_Sha256_8K(benchmark::State& state) { Sha256Of(state, 8192); }
 BENCHMARK(BM_Sha256_8K);
 
-void BM_SignAndVerify(benchmark::State& state) {
+// About the encoded size of an r3000 graft: what one signature costs.
+void BM_Sha256_48K(benchmark::State& state) { Sha256Of(state, 48 * 1024); }
+BENCHMARK(BM_Sha256_48K);
+
+void SignAndVerifyOf(benchmark::State& state, const Program& p) {
   SigningAuthority authority("bench-key");
-  Program p = *Instrument(LoadStoreProgram(false), MisfitOptions{16});
   for (auto _ : state) {
     Result<SignedGraft> sg = authority.Sign(p);
     benchmark::DoNotOptimize(authority.Verify(*sg));
   }
+  state.counters["ins"] = static_cast<double>(p.code.size());
+}
+
+void BM_SignAndVerify(benchmark::State& state) {
+  SignAndVerifyOf(state, *Instrument(LoadStoreProgram(false), MisfitOptions{16}));
 }
 BENCHMARK(BM_SignAndVerify);
+
+void BM_SignAndVerify_R3000(benchmark::State& state) {
+  SignAndVerifyOf(state, R3000Program());
+}
+BENCHMARK(BM_SignAndVerify_R3000);
 
 }  // namespace
 }  // namespace vino

@@ -1,5 +1,7 @@
 #include "src/sfi/program.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace vino {
@@ -8,17 +10,20 @@ namespace {
 constexpr uint32_t kMagic = 0x56494e4f;  // "VINO"
 constexpr uint32_t kVersion = 1;
 
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (i * 8)));
+// Little-endian stores into a buffer already sized for them.
+template <typename T>
+uint8_t* PutLe(uint8_t* out, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, &v, sizeof(v));
+  } else {
+    for (size_t i = 0; i < sizeof(v); ++i) {
+      out[i] = static_cast<uint8_t>(v >> (i * 8));
+    }
   }
+  return out + sizeof(v);
 }
 
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (i * 8)));
-  }
-}
+uint8_t* PutU32(uint8_t* out, uint32_t v) { return PutLe(out, v); }
 
 class Reader {
  public:
@@ -102,31 +107,34 @@ Status VerifyProgram(const Program& program) {
 }
 
 std::vector<uint8_t> EncodeProgram(const Program& program) {
-  std::vector<uint8_t> out;
-  out.reserve(32 + program.name.size() + program.code.size() * 16);
+  // Seven u32 header fields, the name, the call ids, 12 bytes per
+  // instruction: sized exactly, then filled front to back in one pass.
+  std::vector<uint8_t> bytes(7 * 4 + program.name.size() +
+                             4 * program.direct_call_ids.size() +
+                             12 * program.code.size());
+  uint8_t* out = bytes.data();
 
-  PutU32(out, kMagic);
-  PutU32(out, kVersion);
-  PutU32(out, program.instrumented ? 1u : 0u);
-  PutU32(out, program.sandbox_log2);
+  out = PutU32(out, kMagic);
+  out = PutU32(out, kVersion);
+  out = PutU32(out, program.instrumented ? 1u : 0u);
+  out = PutU32(out, program.sandbox_log2);
 
-  PutU32(out, static_cast<uint32_t>(program.name.size()));
-  out.insert(out.end(), program.name.begin(), program.name.end());
+  out = PutU32(out, static_cast<uint32_t>(program.name.size()));
+  out = std::copy(program.name.begin(), program.name.end(), out);
 
-  PutU32(out, static_cast<uint32_t>(program.direct_call_ids.size()));
+  out = PutU32(out, static_cast<uint32_t>(program.direct_call_ids.size()));
   for (const uint32_t id : program.direct_call_ids) {
-    PutU32(out, id);
+    out = PutU32(out, id);
   }
 
-  PutU32(out, static_cast<uint32_t>(program.code.size()));
+  out = PutU32(out, static_cast<uint32_t>(program.code.size()));
   for (const Instruction& ins : program.code) {
-    out.push_back(static_cast<uint8_t>(ins.op));
-    out.push_back(ins.rd);
-    out.push_back(ins.rs1);
-    out.push_back(ins.rs2);
-    PutU64(out, static_cast<uint64_t>(ins.imm));
+    const uint8_t head[4] = {static_cast<uint8_t>(ins.op), ins.rd, ins.rs1,
+                             ins.rs2};
+    std::memcpy(out, head, sizeof(head));
+    out = PutLe(out + sizeof(head), static_cast<uint64_t>(ins.imm));
   }
-  return out;
+  return bytes;
 }
 
 Result<Program> DecodeProgram(const std::vector<uint8_t>& bytes) {

@@ -50,7 +50,7 @@ Result<SignedGraft> SigningAuthority::Sign(Program program) const {
   }
   const std::vector<uint8_t> bytes = EncodeProgram(program);
   SignedGraft out;
-  out.signature = HmacSha256(key_, bytes.data(), bytes.size());
+  out.signature = key_.Mac(bytes.data(), bytes.size());
   out.program = std::move(program);
   return out;
 }
@@ -65,7 +65,7 @@ bool SigningAuthority::Verify(const SignedGraft& graft) const {
     return false;
   }
   const std::vector<uint8_t> bytes = EncodeProgram(graft.program);
-  const Sha256Digest expected = HmacSha256(key_, bytes.data(), bytes.size());
+  const Sha256Digest expected = key_.Mac(bytes.data(), bytes.size());
   // Constant-time comparison; not strictly needed in-process but cheap.
   uint8_t diff = 0;
   for (size_t i = 0; i < expected.size(); ++i) {

@@ -14,7 +14,7 @@
 #ifndef VINOLITE_SRC_SFI_SIGNING_H_
 #define VINOLITE_SRC_SFI_SIGNING_H_
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/base/sha256.h"
@@ -39,7 +39,8 @@ struct SignedGraft {
 
 class SigningAuthority {
  public:
-  explicit SigningAuthority(std::string key) : key_(std::move(key)) {}
+  // The key's HMAC pad midstates are computed here, once.
+  explicit SigningAuthority(std::string_view key) : key_(key) {}
 
   // Signs an instrumented program. Fails with kNotInstrumented for raw
   // programs — the authority never blesses unprotected code.
@@ -50,7 +51,7 @@ class SigningAuthority {
   [[nodiscard]] bool Verify(const SignedGraft& graft) const;
 
  private:
-  std::string key_;
+  HmacSha256Key key_;
 };
 
 }  // namespace vino

@@ -125,17 +125,62 @@ void InsertSorted(std::vector<uint32_t>& ids, uint32_t id) {
   }
 }
 
+// The CFG's basic blocks. Leaders are the entry, every branch target, and
+// every instruction after a branch or kHalt, so control enters a block only
+// at its first instruction and leaves only from its last.
+struct Blocks {
+  std::vector<uint32_t> start;     // Leader pc of each block, ascending.
+  std::vector<uint32_t> block_of;  // pc -> its block; pc n -> block count.
+
+  [[nodiscard]] uint32_t end(uint32_t b) const { return start[b + 1]; }
+  [[nodiscard]] size_t size() const { return start.size() - 1; }
+};
+
+Blocks FindBlocks(const std::vector<Instruction>& code) {
+  const auto n = static_cast<uint32_t>(code.size());
+  Blocks blocks;
+  blocks.block_of.assign(n + 1, 0);
+  std::vector<uint32_t>& leader = blocks.block_of;  // Marks, then indices.
+  leader[0] = 1;
+  for (uint32_t pc = 0; pc < n; ++pc) {
+    const Op op = code[pc].op;
+    if (IsBranch(op)) {
+      leader[static_cast<size_t>(code[pc].imm)] = 1;
+    }
+    if (IsBranch(op) || op == Op::kHalt) {
+      leader[pc + 1] = 1;
+    }
+  }
+  uint32_t b = 0;
+  for (uint32_t pc = 0; pc < n; ++pc) {
+    if (leader[pc] != 0) {
+      blocks.start.push_back(pc);
+      b = static_cast<uint32_t>(blocks.start.size() - 1);
+    }
+    leader[pc] = b;
+  }
+  blocks.start.push_back(n);
+  leader[n] = static_cast<uint32_t>(blocks.size());
+  return blocks;
+}
+
+// A worklist analysis over basic blocks. Facts live only at block leaders:
+// a popped block runs on one live State, transferred in place, and only its
+// exit joins into successor leaders. Blocks are popped LIFO and a branch
+// pushes its target before its fall-through, so blocks are analyzed in the
+// same order, from the same states, as a per-instruction worklist would.
 class Analyzer {
  public:
   Analyzer(const Program& program, const VerifierOptions& options)
-      : program_(program), options_(options) {}
+      : program_(program), options_(options), blocks_(FindBlocks(program.code)) {}
 
   VerifierReport Run() {
-    const size_t n = program_.code.size();
-    in_.assign(n, State{});  // All-bottom: unreached.
-    visits_.assign(n, 0);
-    in_work_.assign(n, 0);
-    reached_.assign(n, 0);
+    const size_t nblocks = blocks_.size();
+    in_.assign(nblocks, State{});  // All-bottom: unreached.
+    visits_.assign(nblocks, 0);
+    in_work_.assign(nblocks, 0);
+    reached_.assign(nblocks, 0);
+    dynamic_calls_.assign(nblocks, 0);
     declared_.assign(program_.direct_call_ids.begin(),
                      program_.direct_call_ids.end());
     std::sort(declared_.begin(), declared_.end());
@@ -145,14 +190,17 @@ class Analyzer {
 
     uint64_t total_visits = 0;
     while (!work_.empty() && report_.ok()) {
-      const uint32_t pc = work_.back();
+      const uint32_t b = work_.back();
       work_.pop_back();
-      in_work_[pc] = 0;
-      if (++total_visits > options_.max_total_visits) {
-        Fail(pc, Status::kVerifyFailed, "analysis did not converge");
+      in_work_[b] = 0;
+      // One visit per instruction transferred, as if each were popped.
+      total_visits += blocks_.end(b) - blocks_.start[b];
+      if (total_visits > options_.max_total_visits) {
+        Fail(blocks_.start[b], Status::kVerifyFailed,
+             "analysis did not converge");
         break;
       }
-      Step(pc);
+      RunBlock(b);
     }
 
     if (report_.ok()) {
@@ -162,10 +210,10 @@ class Analyzer {
   }
 
  private:
-  void Push(uint32_t pc) {
-    if (in_work_[pc] == 0) {
-      in_work_[pc] = 1;
-      work_.push_back(pc);
+  void Push(uint32_t b) {
+    if (in_work_[b] == 0) {
+      in_work_[b] = 1;
+      work_.push_back(b);
     }
   }
 
@@ -175,31 +223,34 @@ class Analyzer {
     report_.reason = std::move(reason);
   }
 
-  // Joins `out` into pc's in-state; re-enqueues pc if anything weakened.
-  // Past the widening threshold, any register still changing jumps to top.
+  // Joins `out` into the in-state of the block led by `pc`; re-enqueues
+  // that block if anything weakened. Past the widening threshold, any
+  // register still changing jumps to top.
   void Flow(uint32_t pc, const State& out) {
-    const bool widen = visits_[pc] >= options_.max_visits_per_pc;
+    const uint32_t b = blocks_.block_of[pc];
+    State& in = in_[b];
+    const bool widen = visits_[b] >= options_.max_visits_per_leader;
     bool changed = false;
     for (size_t r = 0; r < kNumRegisters; ++r) {
-      AbsVal j = Join(in_[pc].regs[r], out.regs[r]);
-      if (!(j == in_[pc].regs[r])) {
+      AbsVal j = Join(in.regs[r], out.regs[r]);
+      if (!(j == in.regs[r])) {
         if (widen) {
           j = Top();
         }
-        if (!(j == in_[pc].regs[r])) {
-          in_[pc].regs[r] = j;
+        if (!(j == in.regs[r])) {
+          in.regs[r] = j;
           changed = true;
         }
       }
     }
     if (changed) {
-      ++visits_[pc];
-      Push(pc);
+      ++visits_[b];
+      Push(b);
     }
   }
 
-  void CheckMemory(uint32_t pc, const Instruction& ins) {
-    const AbsVal& addr = in_[pc].regs[ins.rs1];
+  void CheckMemory(uint32_t pc, const Instruction& ins, const State& s) {
+    const AbsVal& addr = s.regs[ins.rs1];
     if (addr.kind != Kind::kSandboxed) {
       Fail(pc, Status::kVerifyFailed,
            "memory address not derived from a sandbox op");
@@ -214,7 +265,7 @@ class Analyzer {
     }
   }
 
-  void CheckCall(uint32_t pc, const Instruction& ins) {
+  void CheckCall(uint32_t pc, const Instruction& ins, const State& s) {
     if (ins.op == Op::kCallR) {
       // The instrumenter rewrites every kCallR to kCheckedCallR; one
       // surviving in "instrumented" code is forged toolchain output.
@@ -240,7 +291,7 @@ class Analyzer {
     // kCheckedCallR: the runtime hash-table probe enforces safety either
     // way (§3.3, Rule 7). A provably constant target is extracted for the
     // report, and optionally refused outright when strictness is on.
-    const AbsVal& target = in_[pc].regs[ins.rs1];
+    const AbsVal& target = s.regs[ins.rs1];
     if (target.kind == Kind::kConst) {
       const auto id = static_cast<uint32_t>(target.v);
       InsertSorted(report_.const_indirect_ids, id);
@@ -252,10 +303,42 @@ class Analyzer {
     }
   }
 
-  void Step(uint32_t pc) {
-    reached_[pc] = 1;
+  // Runs block b from its leader's in-state, then flows its exit state to
+  // its successors. The block's dynamic kCheckedCallR count is overwritten
+  // on every run, so at the fixpoint it reflects the final in-state.
+  void RunBlock(uint32_t b) {
+    State s = in_[b];
+    uint32_t dynamic_calls = 0;
+    const uint32_t end = blocks_.end(b);
+    for (uint32_t pc = blocks_.start[b]; pc < end; ++pc) {
+      if (!Transfer(pc, s, &dynamic_calls)) {
+        return;
+      }
+    }
+    reached_[b] = 1;
+    dynamic_calls_[b] = dynamic_calls;
+
+    // Successors. VerifyProgram already proved branch targets in range and
+    // that the final instruction is kHalt or kJmp, so fallthrough from any
+    // other block end is in range.
+    const Instruction& last = program_.code[end - 1];
+    if (last.op == Op::kHalt) {
+      return;
+    }
+    if (last.op == Op::kJmp) {
+      Flow(static_cast<uint32_t>(last.imm), s);
+      return;
+    }
+    if (IsBranch(last.op)) {
+      Flow(static_cast<uint32_t>(last.imm), s);
+    }
+    Flow(end, s);
+  }
+
+  // Applies instruction pc to `s` in place. Returns false (with report_
+  // failed) if the instruction is unsafe in state `s`.
+  bool Transfer(uint32_t pc, State& s, uint32_t* dynamic_calls) {
     const Instruction& ins = program_.code[pc];
-    State out = in_[pc];
 
     // The sandbox registers are sacred: the mask/base the Vm loads from
     // the image at entry must survive every path, or kSandboxAddr (and
@@ -265,7 +348,7 @@ class Analyzer {
     if (WritesRd(ins.op) && !IsCall(ins.op) &&
         (ins.rd == kSandboxMaskReg || ins.rd == kSandboxBaseReg)) {
       Fail(pc, Status::kVerifyFailed, "program writes a sandbox register");
-      return;
+      return false;
     }
 
     switch (ins.op) {
@@ -274,23 +357,23 @@ class Analyzer {
         break;
 
       case Op::kLoadImm:
-        out.regs[ins.rd] = Const(static_cast<uint64_t>(ins.imm));
+        s.regs[ins.rd] = Const(static_cast<uint64_t>(ins.imm));
         break;
       case Op::kMov:
-        out.regs[ins.rd] = out.regs[ins.rs1];
+        s.regs[ins.rd] = s.regs[ins.rs1];
         break;
 
       case Op::kAdd: {
-        const AbsVal& a = out.regs[ins.rs1];
-        const AbsVal& b = out.regs[ins.rs2];
+        const AbsVal a = s.regs[ins.rs1];
+        const AbsVal b = s.regs[ins.rs2];
         if (a.kind == Kind::kConst && b.kind == Kind::kConst) {
-          out.regs[ins.rd] = Const(a.v + b.v);
+          s.regs[ins.rd] = Const(a.v + b.v);
         } else if (a.kind == Kind::kSandboxed && b.kind == Kind::kConst) {
-          out.regs[ins.rd] = AddToSandboxed(a, b.v);
+          s.regs[ins.rd] = AddToSandboxed(a, b.v);
         } else if (a.kind == Kind::kConst && b.kind == Kind::kSandboxed) {
-          out.regs[ins.rd] = AddToSandboxed(b, a.v);
+          s.regs[ins.rd] = AddToSandboxed(b, a.v);
         } else {
-          out.regs[ins.rd] = Top();
+          s.regs[ins.rd] = Top();
         }
         break;
       }
@@ -304,23 +387,23 @@ class Analyzer {
       case Op::kShl:
       case Op::kShr:
       case Op::kSar: {
-        const AbsVal& a = out.regs[ins.rs1];
-        const AbsVal& b = out.regs[ins.rs2];
-        out.regs[ins.rd] = a.kind == Kind::kConst && b.kind == Kind::kConst
-                               ? Const(FoldBinary(ins.op, a.v, b.v))
-                               : Top();
+        const AbsVal a = s.regs[ins.rs1];
+        const AbsVal b = s.regs[ins.rs2];
+        s.regs[ins.rd] = a.kind == Kind::kConst && b.kind == Kind::kConst
+                             ? Const(FoldBinary(ins.op, a.v, b.v))
+                             : Top();
         break;
       }
 
       case Op::kAddI: {
-        const AbsVal& a = out.regs[ins.rs1];
+        const AbsVal a = s.regs[ins.rs1];
         const auto imm = static_cast<uint64_t>(ins.imm);
         if (a.kind == Kind::kConst) {
-          out.regs[ins.rd] = Const(a.v + imm);
+          s.regs[ins.rd] = Const(a.v + imm);
         } else if (a.kind == Kind::kSandboxed) {
-          out.regs[ins.rd] = AddToSandboxed(a, imm);
+          s.regs[ins.rd] = AddToSandboxed(a, imm);
         } else {
-          out.regs[ins.rd] = Top();
+          s.regs[ins.rd] = Top();
         }
         break;
       }
@@ -330,8 +413,8 @@ class Analyzer {
       case Op::kXorI:
       case Op::kShlI:
       case Op::kShrI: {
-        const AbsVal& a = out.regs[ins.rs1];
-        out.regs[ins.rd] =
+        const AbsVal a = s.regs[ins.rs1];
+        s.regs[ins.rd] =
             a.kind == Kind::kConst
                 ? Const(FoldBinary(ins.op, a.v, static_cast<uint64_t>(ins.imm)))
                 : Top();
@@ -341,26 +424,26 @@ class Analyzer {
       case Op::kSandboxAddr:
         // ((rs1 + imm) & mask) | base is in [base, base + arena_size - 1]
         // for any operand value — that is the entire point of the op.
-        out.regs[ins.rd] = Sandboxed(0);
+        s.regs[ins.rd] = Sandboxed(0);
         break;
 
       case Op::kLd8:
       case Op::kLd16:
       case Op::kLd32:
       case Op::kLd64:
-        CheckMemory(pc, ins);
+        CheckMemory(pc, ins, s);
         if (!report_.ok()) {
-          return;
+          return false;
         }
-        out.regs[ins.rd] = Top();
+        s.regs[ins.rd] = Top();
         break;
       case Op::kSt8:
       case Op::kSt16:
       case Op::kSt32:
       case Op::kSt64:
-        CheckMemory(pc, ins);
+        CheckMemory(pc, ins, s);
         if (!report_.ok()) {
-          return;
+          return false;
         }
         break;
 
@@ -376,60 +459,54 @@ class Analyzer {
       case Op::kCall:
       case Op::kCallR:
       case Op::kCheckedCallR:
-        CheckCall(pc, ins);
+        CheckCall(pc, ins, s);
         if (!report_.ok()) {
-          return;
+          return false;
         }
-        out.regs[0] = Top();  // Host functions write r0 only.
+        if (ins.op == Op::kCheckedCallR &&
+            s.regs[ins.rs1].kind != Kind::kConst) {
+          ++*dynamic_calls;
+        }
+        s.regs[0] = Top();  // Host functions write r0 only.
         break;
 
       default:
         Fail(pc, Status::kSfiBadOpcode, "undefined opcode");
-        return;
+        return false;
     }
-
-    // Successors. VerifyProgram already proved branch targets in range and
-    // that the final instruction is kHalt or kJmp, so fallthrough from any
-    // non-terminal pc is in range.
-    if (ins.op == Op::kHalt) {
-      return;
-    }
-    if (ins.op == Op::kJmp) {
-      Flow(static_cast<uint32_t>(ins.imm), out);
-      return;
-    }
-    if (IsBranch(ins.op)) {
-      Flow(static_cast<uint32_t>(ins.imm), out);
-    }
-    Flow(pc + 1, out);
+    return true;
   }
 
   void Summarize() {
-    for (size_t pc = 0; pc < program_.code.size(); ++pc) {
-      if (reached_[pc] == 0) {
+    for (uint32_t b = 0; b < blocks_.size(); ++b) {
+      if (reached_[b] == 0) {
         continue;
       }
-      ++report_.instructions_reached;
-      const Op op = program_.code[pc].op;
-      if (IsLoad(op)) {
-        ++report_.loads_proven;
-      } else if (IsStore(op)) {
-        ++report_.stores_proven;
-      } else if (op == Op::kCheckedCallR &&
-                 in_[pc].regs[program_.code[pc].rs1].kind != Kind::kConst) {
-        ++report_.dynamic_indirect_calls;
+      report_.instructions_reached += blocks_.end(b) - blocks_.start[b];
+      report_.dynamic_indirect_calls += dynamic_calls_[b];
+      for (uint32_t pc = blocks_.start[b]; pc < blocks_.end(b); ++pc) {
+        const Op op = program_.code[pc].op;
+        if (IsLoad(op)) {
+          ++report_.loads_proven;
+        } else if (IsStore(op)) {
+          ++report_.stores_proven;
+        }
       }
     }
   }
 
   const Program& program_;
   const VerifierOptions& options_;
+  const Blocks blocks_;
   VerifierReport report_;
 
+  // Per block.
   std::vector<State> in_;
   std::vector<uint32_t> visits_;
   std::vector<uint8_t> in_work_;
   std::vector<uint8_t> reached_;
+  std::vector<uint32_t> dynamic_calls_;
+
   std::vector<uint32_t> work_;
   std::vector<uint32_t> declared_;
 };

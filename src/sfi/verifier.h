@@ -19,12 +19,15 @@
 //                           arena_size - 1 + off] for whatever image the
 //                           program runs against
 //
-// across a CFG derived from the branch structure, joining at merge points
+// across the CFG's basic blocks. Facts are kept only at block leaders (the
+// entry, branch targets, and the instruction after a branch or halt): each
+// block is analyzed by transferring one live state through its
+// instructions, and its exit state is joined into its successors' leaders
 // (equal consts survive, sandboxed offsets take the max, anything else goes
-// to top) and widening to top after a bounded number of visits so loops
-// terminate. The facts are image-independent: "sandboxed" is defined by the
-// mask/base registers, which the Vm loads from the *actual* image at entry
-// and which verified code provably never writes.
+// to top), widening to top after a bounded number of refinements per
+// leader so loops terminate. The facts are image-independent: "sandboxed"
+// is defined by the mask/base registers, which the Vm loads from the
+// *actual* image at entry and which verified code provably never writes.
 //
 // A program passes only if:
 //  * it is instrumented and structurally valid (VerifyProgram);
@@ -78,17 +81,21 @@ struct VerifierOptions {
   // grafts that provably abort.
   bool reject_constant_indirect_targets = false;
 
-  // Widening threshold: once a pc's in-state has been refined this many
-  // times, further joins go straight to top so loop analysis terminates.
-  uint32_t max_visits_per_pc = 64;
+  // Widening threshold: once a block leader's in-state has been refined
+  // this many times, further joins go straight to top so loop analysis
+  // terminates.
+  uint32_t max_visits_per_leader = 64;
 
-  // Hard cap on total worklist pops — a defense-in-depth bound; widening
-  // already forces convergence far below it.
+  // Hard cap on instructions transferred (each pop of a block counts its
+  // length) — a defense-in-depth bound; widening already forces
+  // convergence far below it.
   uint64_t max_total_visits = uint64_t{1} << 22;
 
-  // Largest program the verifier will analyze. Abstract state costs
-  // ~256 bytes per instruction; DecodeProgram admits up to 2^24
-  // instructions, which we refuse to spend 4 GiB analyzing.
+  // Largest program the verifier will analyze. The analysis keeps ~256
+  // bytes of abstract state per block leader plus a few bytes per
+  // instruction, and its time grows with length times loop refinements;
+  // DecodeProgram admits up to 2^24 instructions, far past what a graft
+  // needs.
   size_t max_instructions = size_t{1} << 16;
 };
 

@@ -398,6 +398,50 @@ TEST_F(VerifierTest, WideningTerminatesLoopedPointerWalk) {
   EXPECT_EQ(report.status, Status::kVerifyFailed);
 }
 
+// A loop header whose in-state needs more than 64 refinements: r14 steps
+// by 8 per iteration, so the header sees sandboxed(0), (8), ... Widening is
+// counted at the block leader (pc 1): refinements 1..64 take r14 to
+// sandboxed(504), and the 65th widens it to top. The far access at pc 2
+// reads where that threshold falls.
+Program PointerWalk(int64_t far_offset) {
+  Program p;
+  p.name = "walk";
+  p.instrumented = true;
+  p.sandbox_log2 = kArenaLog2;
+  p.code = {
+      /*0*/ SandboxToR14(1),
+      /*1*/ Instruction{Op::kLd64, 2, kSandboxAddrReg, 0, 0},
+      /*2*/ Instruction{Op::kLd64, 3, kSandboxAddrReg, 0, far_offset},
+      /*3*/ Instruction{Op::kAddI, kSandboxAddrReg, kSandboxAddrReg, 0, 8},
+      /*4*/ Instruction{Op::kJmp, 0, 0, 0, 1},
+  };
+  return p;
+}
+
+TEST_F(VerifierTest, WideningCountsRefinementsAtTheLoopHeader) {
+  // 504 + 7680 + 8 == guard: the far access holds through all 64
+  // refinements, so the first failure is the near access at pc 1, once
+  // widening has sent r14 to top.
+  VerifierReport report = VerifySandbox(PointerWalk(7680));
+  EXPECT_EQ(report.status, Status::kVerifyFailed);
+  EXPECT_EQ(report.fail_pc, 1u);
+  EXPECT_EQ(report.reason, "memory address not derived from a sandbox op");
+
+  // Eight bytes further, the far access escapes at the 64th refinement,
+  // sandboxed(504), before widening happens.
+  report = VerifySandbox(PointerWalk(7688));
+  EXPECT_EQ(report.status, Status::kVerifyFailed);
+  EXPECT_EQ(report.fail_pc, 2u);
+  EXPECT_EQ(report.reason, "memory offset may escape the sandbox guard zone");
+
+  // One more refinement before widening lets the header reach
+  // sandboxed(512), where the far access escapes first.
+  VerifierOptions options;
+  options.max_visits_per_leader = 65;
+  report = VerifySandbox(PointerWalk(7680), options);
+  EXPECT_EQ(report.fail_pc, 2u);
+}
+
 TEST_F(VerifierTest, LoopWithResandboxedPointerVerifies) {
   // The shape the real instrumenter emits for a pointer walk: re-sandbox
   // every iteration. The loop join is sandbox(0) ⊔ sandbox(0): stable.

@@ -31,7 +31,8 @@
 #      any anomaly (sandbox escape, tier divergence, missed ejection, lost
 #      events, spool loss) fails the gate and leaves a reproducer bundle
 #      under build/fuzz-artifacts; outside --fast, the tier-differential
-#      property test also runs widened to 20000 trials per seed,
+#      and verifier property tests also run widened to 20000 trials per
+#      seed,
 #   8. ThreadSanitizer build + the concurrency-heavy tests, so dispatch
 #      races (Drain vs DispatchAsync, pool lifecycle, txn locks, ring
 #      snapshot-during-write, concurrent Tier-1 dispatch over one shared
@@ -183,9 +184,13 @@ build/tools/graftfuzz --smoke --artifacts "$FUZZ_ART" \
   ${FUZZ_BUDGET[@]+"${FUZZ_BUDGET[@]}"}
 # The tier-differential fuzz, widened: 20000 trials per seed, half of them
 # looped, holds Tier 1's block charging and fused ops to Tier 0's
-# instruction counts, poll calls, host calls, registers and memory.
+# instruction counts, poll calls, host calls, registers and memory. The
+# verifier fuzz gets the same widening: every forgery the block-level
+# analysis accepts must stay confined with the bounds checks compiled out,
+# and the verified fast path must match the checked path.
 if [[ "$FAST" != "1" ]]; then
   VINO_FUZZ_ITERS=20000 build/tests/property_test --gtest_filter='*Tier*'
+  VINO_FUZZ_ITERS=20000 build/tests/property_test --gtest_filter='*Verifier*'
 fi
 
 if [[ "$BENCH" == "1" ]]; then
