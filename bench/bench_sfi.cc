@@ -107,31 +107,12 @@ void BM_VmLoadStoreElided(benchmark::State& state) {
 }
 BENCHMARK(BM_VmLoadStoreElided);
 
-void BM_VmLoadStoreVerified(benchmark::State& state) {
-  // The full payoff: elided masks plus the verified fast path, which
-  // deletes the per-access InBounds branch the load-time proof made
-  // redundant. Delta vs. BM_VmLoadStoreInstrumented is the recovered
-  // per-access overhead.
-  HostCallTable host;
-  MemoryImage image(65536, 16);
-  Vm vm(&image, &host);
-  Program p = LoadStoreProgram(true, /*elide=*/true);
-  if (!VerifySandbox(p).ok()) {
-    state.SkipWithError("bench program failed verification");
-    return;
-  }
-  p.verified = true;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(vm.Run(p, {}, RunOptions{}));
-  }
-}
-BENCHMARK(BM_VmLoadStoreVerified);
-
 // Execution-tier sweep over load/store density: kOps work instructions, of
 // which range(0) percent are memory accesses (Ld64/St64 pairs sandboxed by
-// MiSFIT, masks elided, program verified), run on tier range(1). The Tier-1
-// direct-threaded engine's win grows with memory-op density because each
-// access drops the interpreter's operand re-decode plus the shared-switch
+// MiSFIT, masks elided, program verified), run on tier range(1): tier 0 is
+// the checked Vm, tier 1 the verified fast path. The Tier-1 direct-threaded
+// engine's win grows with memory-op density because each access drops the
+// interpreter's operand re-decode, its bounds check and the shared-switch
 // misprediction; the PR acceptance gate reads the 50%-density pair.
 Program DensityProgram(int density_pct) {
   Asm a("density");
@@ -178,15 +159,11 @@ void BM_TierDensity(benchmark::State& state) {
       state.SkipWithError("tier-1 compile unavailable");
       return;
     }
-    const ThreadedVm tvm(&host);
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(tvm.Run(p, &image, {}, RunOptions{}));
-    }
-  } else {
-    const Vm vm(&host);
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(vm.Run(p, &image, {}, RunOptions{}));
-    }
+  }
+  // With no artifact (tier 0), ThreadedVm runs the checked Vm.
+  const ThreadedVm engine(&host);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.Run(p, &image, {}, RunOptions{}));
   }
   state.counters["ns/ins"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * kOps,
@@ -241,20 +218,18 @@ void BM_TierStreamCipher(benchmark::State& state) {
   const uint64_t args[3] = {image.arena_base(),
                             image.arena_base() + kCipherChunk,
                             static_cast<uint64_t>(kCipherChunk)};
-  const Vm vm(&host);
-  const ThreadedVm tvm(&host);
-  const ExecutionEngine* engine = &vm;
   if (tier == 1) {
     p.compiled = CompileThreaded(p);
     if (p.compiled == nullptr) {
       state.SkipWithError("tier-1 compile unavailable");
       return;
     }
-    engine = &tvm;
   }
+  // With no artifact (tier 0), ThreadedVm runs the checked Vm.
+  const ThreadedVm engine(&host);
   uint64_t instructions = 0;
   for (auto _ : state) {
-    const RunOutcome out = engine->Run(p, &image, args, RunOptions{}, {});
+    const RunOutcome out = engine.Run(p, &image, args, RunOptions{}, {});
     instructions = out.instructions;
     benchmark::DoNotOptimize(out);
   }

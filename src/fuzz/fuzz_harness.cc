@@ -83,7 +83,8 @@ struct TierRun {
   std::vector<uint8_t> memory;
 };
 
-TierRun RunTier(const ExecutionEngine& engine, const Program& program,
+template <typename Engine>
+TierRun RunTier(const Engine& engine, const Program& program,
                 MirrorHost& host, std::span<const uint64_t> args) {
   TierRun run;
   MemoryImage image(4096, program.sandbox_log2);
@@ -473,13 +474,7 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
     // Differential cross-check of an accepted program on both tiers.
     const auto cross_check = [&](const Program& accepted, int index,
                                  const std::vector<uint8_t>& container) {
-      Program prog = accepted;
-      if (prog.compiled == nullptr) {
-        // VINO_EXEC_TIER=0 keeps the loader from compiling; the harness
-        // still owes the differential, so compile here.
-        prog.compiled = CompileThreaded(prog);
-      }
-      if (prog.compiled == nullptr) {
+      if (accepted.compiled == nullptr) {
         return;  // No computed-goto support in this build; nothing to diff.
       }
       uint64_t args[kMaxArgs];
@@ -487,12 +482,9 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
         a = rng.Next();
       }
       const std::span<const uint64_t> args_span(args, kMaxArgs);
-      const TierRun t0 = RunTier(tier0, prog, mirror, args_span);
-      const TierRun t1 = RunTier(tier1, prog, mirror, args_span);
+      const TierRun t0 = RunTier(tier0, accepted, mirror, args_span);
+      const TierRun t1 = RunTier(tier1, accepted, mirror, args_span);
       ++report.tier1_checked;
-      if (t1.outcome.tier != ExecTier::kTier1) {
-        return;  // Fell back (shouldn't happen with compiled set); not a diff.
-      }
       const std::string diff = CompareTiers(t0, t1);
       if (!diff.empty()) {
         PendingAnomaly& p = note(
@@ -653,7 +645,11 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
           note(AnomalyKind::kKernelCorruption, i,
                "verifier accepted a mask-writing program");
         }
-        evil.verified = true;  // The forged proof: bypasses the loader.
+        // The forged proof bypasses the loader and, like the loader, earns
+        // the Tier-1 artifact: the hole is exercised on the engine that
+        // actually skips the access checks.
+        evil.verified = true;
+        evil.compiled = CompileThreaded(evil);
         auto graft = std::make_shared<Graft>(evil.name, evil, kFuzzUser,
                                              /*kernel_region_size=*/4096);
         drive(graft, i, EncodeProgram(evil), /*hostile_class=*/true);

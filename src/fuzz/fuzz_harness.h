@@ -118,8 +118,8 @@ struct FaultInjection {
   // stranding a ghost entry the release path later promotes.
   bool lockmgr_ghost_waiter = false;
   // PR-6 seed bug: a forged program that overwrites the sandbox mask/base
-  // registers is installed with a claimed verifier proof (loader bypass),
-  // so the fast path executes it without bounds checks.
+  // registers is installed with a claimed verifier proof (loader bypass)
+  // and compiled for Tier 1, which executes it without bounds checks.
   bool verifier_mask_write_hole = false;
 };
 

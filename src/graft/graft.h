@@ -60,8 +60,9 @@ class Graft {
   [[nodiscard]] const Program& program() const { return program_; }
 
   // True when the loader's sandbox verifier proved this graft's program
-  // (src/sfi/verifier.h); such grafts run the Vm's no-bounds-check fast
-  // path. Always false for native grafts — they have no program to prove.
+  // (src/sfi/verifier.h); such grafts carry the Tier-1 artifact, whose
+  // accesses are not checked at run time. Always false for native grafts —
+  // they have no program to prove.
   [[nodiscard]] bool verified() const {
     return !is_native() && program_.verified;
   }

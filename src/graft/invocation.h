@@ -2,7 +2,7 @@
 //
 // Function graft points and event graft points used to each carry their own
 // copy of the safe-path sequence — begin transaction, swap in the graft's
-// resource account, arm the watchdog, run the graft (native or Vm), check
+// resource account, arm the watchdog, run the graft (native or program), check
 // the asynchronous abort flag, validate, commit or abort. Two copies of a
 // wrapper is two places for a fix (or an instrumentation hook) to miss one;
 // this header is the single shared implementation both point types call.
@@ -45,7 +45,6 @@
 #include "src/sfi/exec_engine.h"
 #include "src/sfi/host.h"
 #include "src/sfi/threaded_vm.h"
-#include "src/sfi/vm.h"
 #include "src/txn/txn_manager.h"
 #include "src/txn/watchdog.h"
 
@@ -58,7 +57,7 @@ namespace vino {
 struct GraftExecContext {
   GraftExecContext(const HostCallTable* host, uint64_t fuel = 10'000'000,
                    uint32_t poll_interval = 64)
-      : vm(host), threaded_vm(host) {
+      : engine(host) {
     options.fuel = fuel;
     options.poll_interval = poll_interval;
     // Capture-free: the engine polls the calling thread's own innermost
@@ -70,18 +69,9 @@ struct GraftExecContext {
   // concurrent invocations of this point).
   RunOptions options;
 
-  // The pinned execution engines, one per tier. Stateless — safe to enter
-  // concurrently. Tier selection already happened in the loader; EngineFor
-  // just follows the artifact.
-  Vm vm;
-  ThreadedVm threaded_vm;
-
-  [[nodiscard]] const ExecutionEngine& EngineFor(const Program& program) const {
-    if (program.compiled != nullptr) {
-      return threaded_vm;
-    }
-    return vm;
-  }
+  // The pinned execution engine. Stateless — safe to enter concurrently.
+  // It runs the loader's Tier-1 artifact, or Tier 0 when there is none.
+  ThreadedVm engine;
 
   // Optional wall-clock budget, enforced by a Watchdog (§4.5). Both fuel
   // and wall budget may be set; whichever trips first aborts.
@@ -123,7 +113,7 @@ struct InvocationOutcome {
 };
 
 // Runs `graft` through the full safe-path wrapper: begin txn → account swap
-// → watchdog → run (native or Vm) → validate → commit/abort. Never throws;
+// → watchdog → run (native or program) → validate → commit/abort. Never throws;
 // never leaves a transaction or a swapped account behind.
 //
 // Defined inline: this is the one call a graft-point makes per invocation,
@@ -196,11 +186,9 @@ inline InvocationOutcome RunGraftInvocation(TxnManager& txn_manager,
       failure = scope.txn()->abort_reason();
     }
   } else {
-    // The engine the loader picked: the Tier-1 artifact travels with the
-    // program, so this is one branch, and the chosen engine is a pinned
-    // member of the context — nothing is built here.
-    const ExecutionEngine& engine = exec.EngineFor(graft->program());
-    const RunOutcome run = engine.Run(
+    // The pinned engine follows the artifact the loader built; nothing is
+    // built here.
+    const RunOutcome run = exec.engine.Run(
         graft->program(), &graft->image(), args, exec.options,
         CallerIdentity{graft->owner().uid, graft->owner().privileged});
     graft->CountTierRun(run.tier);

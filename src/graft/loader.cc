@@ -54,8 +54,7 @@ Result<std::shared_ptr<Graft>> GraftLoader::Load(const SignedGraft& signed_graft
   //    only the instruction stream: the abstract interpreter re-proves that
   //    every reachable call is declared + callable and every reachable
   //    access is confined to the arena + guard zone. A program that passes
-  //    is marked verified, which lets the Vm delete its per-access bounds
-  //    branch.
+  //    is marked verified, which is what licenses step 7.
   VerifierOptions voptions;
   voptions.host = host_;
   const VerifierReport report = VerifySandbox(program, voptions);
@@ -71,15 +70,11 @@ Result<std::shared_ptr<Graft>> GraftLoader::Load(const SignedGraft& signed_graft
   Program verified_program = program;
   verified_program.verified = true;
 
-  // 7. Tier selection — once, here, never re-decided at run time. A
-  //    verified program is Tier-1 eligible: pre-decode it for the
-  //    direct-threaded engine unless policy (VINO_EXEC_TIER=0) pins the
-  //    process to the interpreter. A refused/unavailable compile leaves
-  //    the artifact null and the graft on Tier 0 — by design never a load
-  //    failure (the fallback ladder degrades performance, not service).
-  if (MaxExecTier() >= ExecTier::kTier1) {
-    verified_program.compiled = CompileThreaded(verified_program);
-  }
+  // 7. Pre-decode the verified program for the direct-threaded Tier-1
+  //    engine, whose dropped checks are exactly what step 6 proved. Only a
+  //    toolchain without computed goto leaves the artifact null, and the
+  //    graft then runs Tier 0 — slower, same results, never a load failure.
+  verified_program.compiled = CompileThreaded(verified_program);
 
   auto graft =
       std::make_shared<Graft>(program.name, std::move(verified_program),

@@ -14,7 +14,8 @@
 //     re-proves from the instruction stream alone that the declared call
 //     set covers the code's true calls and that every memory access is
 //     confined, so neither the instrumenter nor the manifest is trusted.
-//     Grafts that pass run the Vm's no-bounds-check fast path.
+//     Grafts that pass are compiled for the Tier-1 engine
+//     (src/sfi/threaded_vm.h), which drops the checks the proof covers.
 //
 // Installation additionally enforces the restricted-point privilege check
 // (Rule 5) — that check lives in the graft points themselves and is

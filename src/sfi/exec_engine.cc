@@ -1,7 +1,5 @@
 #include "src/sfi/exec_engine.h"
 
-#include <cstdlib>
-
 namespace vino {
 
 std::string_view ExecTierName(ExecTier tier) {
@@ -12,19 +10,6 @@ std::string_view ExecTierName(ExecTier tier) {
       return "tier1";
   }
   return "?";
-}
-
-ExecTier MaxExecTier() {
-  // Read once: tier policy is a load-time decision, and a graft compiled
-  // under one policy must not observe a different one mid-flight.
-  static const ExecTier kMax = [] {
-    const char* env = std::getenv("VINO_EXEC_TIER");
-    if (env != nullptr && env[0] == '0' && env[1] == '\0') {
-      return ExecTier::kTier0;
-    }
-    return ExecTier::kTier1;
-  }();
-  return kMax;
 }
 
 }  // namespace vino

@@ -1,11 +1,12 @@
-// The tiered graft execution engine interface.
+// The graft execution engines' shared vocabulary: tiers, run options and
+// run outcomes.
 //
 // One verified vISA program can be executed by more than one backend:
 //
 //   Tier 0  (src/sfi/vm.h)          — the classic switch interpreter. Runs
-//                                     anything, instrumented or not, with
-//                                     per-access bounds checks unless the
-//                                     program carries the verifier's proof.
+//                                     anything, instrumented or not, and
+//                                     bounds-checks every access. The
+//                                     reference the other tier is held to.
 //   Tier 1  (src/sfi/threaded_vm.h) — direct-threaded dispatch over
 //                                     load-time pre-decoded op streams
 //                                     (computed goto), charging fuel and
@@ -16,28 +17,23 @@
 //                                     per-iteration pc bounds check and the
 //                                     per-access InBounds branch entirely.
 //
-// Tier selection happens exactly once, in GraftLoader::Load: a program that
-// passes VerifySandbox is compiled for Tier 1 (policy permitting) and the
-// artifact travels with the Program; graft points then pick the engine by
-// looking at the artifact, never by re-deciding policy. Both tiers keep the
-// MiSFIT masking semantics and the Rule-7 kCheckedCallR abort contract
-// byte-for-byte — tests/property_test.cc holds them to it differentially.
+// The verifier's proof is read in exactly one place: CompileThreaded, which
+// GraftLoader::Load calls on every program that passes VerifySandbox. The
+// artifact travels with the Program, and ThreadedVm runs it or — with no
+// artifact — falls back to Tier 0. Both tiers keep the MiSFIT masking
+// semantics and the Rule-7 kCheckedCallR abort contract byte-for-byte —
+// tests/property_test.cc holds them to it differentially.
 
 #ifndef VINOLITE_SRC_SFI_EXEC_ENGINE_H_
 #define VINOLITE_SRC_SFI_EXEC_ENGINE_H_
 
 #include <cstdint>
-#include <span>
 #include <string_view>
 #include <type_traits>
 
 #include "src/base/status.h"
-#include "src/sfi/host.h"
-#include "src/sfi/memory_image.h"
 
 namespace vino {
-
-struct Program;
 
 enum class ExecTier : uint8_t {
   kTier0 = 0,  // Switch interpreter.
@@ -46,12 +42,6 @@ enum class ExecTier : uint8_t {
 inline constexpr size_t kExecTierCount = 2;
 
 [[nodiscard]] std::string_view ExecTierName(ExecTier tier);
-
-// The process-wide tier ceiling, read once from VINO_EXEC_TIER at first use
-// and cached. Unset (or any value other than "0") allows Tier 1; "0" forces
-// every graft onto the switch interpreter. Consulted only by the loader —
-// the runtime never re-reads the environment.
-[[nodiscard]] ExecTier MaxExecTier();
 
 // Execution options. Deliberately a trivially-copyable POD: the graft
 // invocation wrapper pre-builds one per graft point and reuses it for every
@@ -86,27 +76,6 @@ struct RunOutcome {
   uint64_t ret = 0;           // r0 at halt.
   uint64_t instructions = 0;  // Instructions executed.
   ExecTier tier = ExecTier::kTier0;  // Which backend actually ran.
-};
-
-// A backend that can execute a program against an image. Implementations
-// must be stateless with respect to execution (Run is const and entered
-// concurrently from any number of threads); all execution state lives on
-// Run's stack.
-class ExecutionEngine {
- public:
-  virtual ~ExecutionEngine() = default;
-
-  // The tier this engine implements (what RunOutcome::tier reports when the
-  // engine runs a program itself rather than falling back).
-  [[nodiscard]] virtual ExecTier tier() const = 0;
-
-  // Executes `program` with `args` in r0..r5, confined to `image`.
-  // `identity` is passed to every host call (the installing user, §3.3).
-  [[nodiscard]] virtual RunOutcome Run(const Program& program,
-                                       MemoryImage* image,
-                                       std::span<const uint64_t> args,
-                                       const RunOptions& options,
-                                       CallerIdentity identity) const = 0;
 };
 
 }  // namespace vino

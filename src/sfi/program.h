@@ -36,7 +36,8 @@ struct Program {
   // invariants for this exact instruction stream. Deliberately NOT part of
   // the serialized container: a manifest cannot claim it, DecodeProgram
   // never sets it, and the loader only sets it on its own verifier's
-  // verdict. The Vm skips the per-access InBounds branch when it is set.
+  // verdict. CompileThreaded is its only reader: it builds the Tier-1 form,
+  // which drops the per-access InBounds branch, only when it is set.
   bool verified = false;
 
   // The Tier-1 direct-threaded artifact (src/sfi/threaded_vm.h), built by

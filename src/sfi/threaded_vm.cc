@@ -8,15 +8,6 @@
 
 #include "src/sfi/vm.h"
 
-// Direct threading needs GCC/Clang's labels-as-values extension. Elsewhere
-// CompileThreaded returns nullptr and every program runs the Tier-0
-// interpreter — a performance fallback, never a functional one.
-#if defined(__GNUC__) || defined(__clang__)
-#define VINO_HAVE_COMPUTED_GOTO 1
-#else
-#define VINO_HAVE_COMPUTED_GOTO 0
-#endif
-
 namespace vino {
 namespace {
 
@@ -723,8 +714,8 @@ RunOutcome ThreadedVm::Run(const Program& program, MemoryImage* image,
                            const RunOptions& options,
                            CallerIdentity identity) const {
   const CompiledProgram* compiled = program.compiled.get();
-  // Fallback ladder: no artifact (policy, compile refusal, or a toolchain
-  // without computed goto) → Tier 0. Never an error.
+  // Fallback: no artifact (an unverified program, or a toolchain without
+  // computed goto) → Tier 0. Never an error.
   if (compiled == nullptr || compiled->code_size != program.code.size()) {
     return Vm(host_).Run(program, image, args, options, identity);
   }

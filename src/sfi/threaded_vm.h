@@ -41,11 +41,12 @@
 // fuzz test in tests/property_test.cc holds the two tiers to identical
 // registers, memory, host-call sequences, and abort reasons.
 //
-// Compilation happens once, in GraftLoader::Load, and only for programs
-// whose sandbox proof succeeded — the dropped checks are exactly the ones
-// the proof covers, so an unverified program has no Tier-1 form. A failed
-// or unavailable compile (non-GNU compiler) is never a load failure: the
-// artifact is simply absent and the graft runs Tier 0.
+// Compilation happens once, in GraftLoader::Load, for every program whose
+// sandbox proof succeeded — the dropped checks are exactly the ones the
+// proof covers, so an unverified program has no Tier-1 form, and
+// CompileThreaded is the only reader of that proof. On a toolchain without
+// computed goto the artifact is absent and the graft runs Tier 0: slower,
+// same results, never a load failure.
 
 #ifndef VINOLITE_SRC_SFI_THREADED_VM_H_
 #define VINOLITE_SRC_SFI_THREADED_VM_H_
@@ -59,6 +60,15 @@
 #include "src/sfi/host.h"
 #include "src/sfi/memory_image.h"
 #include "src/sfi/program.h"
+
+// Direct threading needs GCC/Clang's labels-as-values extension. Elsewhere
+// CompileThreaded returns nullptr and every program runs the Tier-0
+// interpreter — a performance fallback, never a functional one.
+#if defined(__GNUC__) || defined(__clang__)
+#define VINO_HAVE_COMPUTED_GOTO 1
+#else
+#define VINO_HAVE_COMPUTED_GOTO 0
+#endif
 
 namespace vino {
 
@@ -147,19 +157,20 @@ inline constexpr size_t kMaxThreadedInstructions = size_t{1} << 16;
 [[nodiscard]] std::shared_ptr<const CompiledProgram> CompileThreaded(
     const Program& program);
 
-// The Tier-1 engine. Stateless like the Vm: Run is const and all execution
+// The graft engine. Stateless like the Vm: Run is const and all execution
 // state lives on its stack, so one instance per graft point serves any
 // number of concurrent invocations. A program without a compiled artifact
-// falls back to the Tier-0 interpreter (and the outcome reports kTier0).
-class ThreadedVm final : public ExecutionEngine {
+// — unverified, or built without computed goto — falls back to the Tier-0
+// interpreter (and the outcome reports kTier0).
+class ThreadedVm final {
  public:
   explicit ThreadedVm(const HostCallTable* host) : host_(host) {}
 
-  [[nodiscard]] ExecTier tier() const override { return ExecTier::kTier1; }
-
+  // Executes `program` with `args` in r0..r5, confined to `image`.
+  // `identity` is passed to every host call (the installing user, §3.3).
   RunOutcome Run(const Program& program, MemoryImage* image,
                  std::span<const uint64_t> args, const RunOptions& options,
-                 CallerIdentity identity = {}) const override;
+                 CallerIdentity identity = {}) const;
 
  private:
   const HostCallTable* host_;

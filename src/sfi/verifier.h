@@ -42,8 +42,8 @@
 //    though provable constant targets are extracted for the report and can
 //    optionally be refused outright.
 //
-// What passing buys: Vm::Run skips the per-access InBounds branch for
-// verified programs, and the instrumenter may elide kSandboxAddr on
+// What passing buys: CompileThreaded builds the Tier-1 form, which has no
+// per-access InBounds branch, and the instrumenter may elide kSandboxAddr on
 // already-sandboxed-base + small-offset accesses, because this verifier —
 // not the instrumentation pattern — is now the enforcement boundary.
 

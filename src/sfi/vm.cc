@@ -19,16 +19,23 @@ struct FinalRegDump {
   }
 };
 
-// The dispatch loop, stamped out twice: kCheckBounds=true is the classic
-// interpreter; kCheckBounds=false is the fast path for programs whose
-// load-time proof (src/sfi/verifier.h) already covers every access, with
-// the per-access InBounds branch compiled out rather than tested per
-// iteration.
-template <bool kCheckBounds>
-RunOutcome RunLoop(const Program& program, MemoryImage* image,
+}  // namespace
+
+RunOutcome Vm::Run(const Program& program, MemoryImage* image,
                    std::span<const uint64_t> args, const RunOptions& options,
-                   uint32_t poll_interval, const HostCallTable* host,
-                   CallerIdentity identity) {
+                   CallerIdentity identity) const {
+  if (program.code.empty()) {
+    RunOutcome outcome;
+    outcome.status = Status::kBadGraft;
+    return outcome;
+  }
+
+  // poll_interval == 0 means "poll as often as possible", not "never":
+  // without the clamp, the first `--until_poll` wraps to UINT32_MAX and
+  // silently disables cross-thread abort polling for ~4B instructions.
+  const uint32_t poll_interval =
+      options.poll_interval == 0 ? 1 : options.poll_interval;
+
   // The register file must stay a non-escaping local of the dispatch loop:
   // as a caller-provided buffer the compiler would have to assume graft
   // stores through `mem` may alias it and spill/reload around every access.
@@ -162,7 +169,7 @@ RunOutcome RunLoop(const Program& program, MemoryImage* image,
         static_assert(static_cast<int>(Op::kLd64) - static_cast<int>(Op::kLd8) == 3);
         const uint64_t width =
             uint64_t{1} << (static_cast<int>(ins.op) - static_cast<int>(Op::kLd8));
-        if (kCheckBounds && !image->InBounds(addr, width)) {
+        if (!image->InBounds(addr, width)) {
           // In a real kernel this is a wild read that may fault or return
           // garbage; we surface it as a trap.
           outcome.status = Status::kSfiTrap;
@@ -181,7 +188,7 @@ RunOutcome RunLoop(const Program& program, MemoryImage* image,
         static_assert(static_cast<int>(Op::kSt64) - static_cast<int>(Op::kSt8) == 3);
         const uint64_t width =
             uint64_t{1} << (static_cast<int>(ins.op) - static_cast<int>(Op::kSt8));
-        if (kCheckBounds && !image->InBounds(addr, width)) {
+        if (!image->InBounds(addr, width)) {
           outcome.status = Status::kSfiTrap;
           return outcome;
         }
@@ -235,7 +242,7 @@ RunOutcome RunLoop(const Program& program, MemoryImage* image,
         // One probe serves both the callable check and the dispatch: the
         // entry's graft_callable bit mirrors callable-list membership, so
         // kCheckedCallR no longer pays a hash-table probe *and* a lookup.
-        const HostCallTable::Entry* entry = host->Lookup(id);
+        const HostCallTable::Entry* entry = host_->Lookup(id);
         if (ins.op == Op::kCheckedCallR &&
             (entry == nullptr || !entry->graft_callable)) {
           // Paper §3.3: "If the target function is not on the list, the
@@ -267,36 +274,6 @@ RunOutcome RunLoop(const Program& program, MemoryImage* image,
         return outcome;
     }
   }
-}
-
-}  // namespace
-
-RunOutcome Vm::Run(const Program& program, MemoryImage* image,
-                   std::span<const uint64_t> args, const RunOptions& options,
-                   CallerIdentity identity) const {
-  if (program.code.empty()) {
-    RunOutcome outcome;
-    outcome.status = Status::kBadGraft;
-    return outcome;
-  }
-
-  // poll_interval == 0 means "poll as often as possible", not "never":
-  // without the clamp, the first `--until_poll` wraps to UINT32_MAX and
-  // silently disables cross-thread abort polling for ~4B instructions.
-  const uint32_t poll_interval =
-      options.poll_interval == 0 ? 1 : options.poll_interval;
-
-  // Verified programs (src/sfi/verifier.h) carry a load-time proof that
-  // every reachable access lands inside the arena + guard zone of whatever
-  // image initializes the sandbox registers, so the per-access InBounds
-  // branch is compiled out. The proof rests on the loop loading mask/base
-  // from the image, hence the instrumented qualifier.
-  if (program.verified && program.instrumented) {
-    return RunLoop<false>(program, image, args, options, poll_interval, host_,
-                          identity);
-  }
-  return RunLoop<true>(program, image, args, options, poll_interval, host_,
-                       identity);
 }
 
 }  // namespace vino

@@ -13,9 +13,11 @@
 // (e.g. a lock time-out fired by another thread) takes effect promptly.
 //
 // This is the universal backend: it runs anything — uninstrumented,
-// unverified, or verified — and is the floor the Tier-1 direct-threaded
-// backend (src/sfi/threaded_vm.h) falls back to. RunOptions/RunOutcome and
-// the engine interface live in src/sfi/exec_engine.h.
+// unverified, or verified — and checks every memory access against the
+// image whatever the program claims, so Program::verified never changes
+// what it does. It is the reference the Tier-1 direct-threaded backend
+// (src/sfi/threaded_vm.h) is held to and the floor that backend falls back
+// to. RunOptions/RunOutcome live in src/sfi/exec_engine.h.
 
 #ifndef VINOLITE_SRC_SFI_VM_H_
 #define VINOLITE_SRC_SFI_VM_H_
@@ -33,20 +35,17 @@ namespace vino {
 
 // The interpreter itself is stateless: all execution state (registers, pc,
 // fuel) lives on Run's stack, and Run is const. A Vm can therefore be
-// pinned once per graft point and entered concurrently from any number of
-// threads — the per-invocation construction the wrapper used to pay is gone.
-class Vm final : public ExecutionEngine {
+// shared and entered concurrently from any number of threads.
+class Vm final {
  public:
   // Host-pinned form: the image (and caller identity) vary per run and are
-  // passed to Run — how the graft wrapper drives a per-point Vm whose graft
-  // (and thus arena image) can change.
+  // passed to Run — how ThreadedVm drives its Tier-0 fallback for whatever
+  // graft (and thus arena image) the point currently holds.
   explicit Vm(const HostCallTable* host) : host_(host) {}
 
   // Image-pinned convenience form for tests/tools that run one program
   // against one image.
   Vm(MemoryImage* image, const HostCallTable* host) : image_(image), host_(host) {}
-
-  [[nodiscard]] ExecTier tier() const override { return ExecTier::kTier0; }
 
   // Executes `program` with `args` in r0..r5, confined to `image`.
   // `identity` is passed to every host call (the installing user, §3.3).
@@ -54,7 +53,7 @@ class Vm final : public ExecutionEngine {
   // kSfiBadOpcode / kSfiTrap at runtime rather than UB).
   RunOutcome Run(const Program& program, MemoryImage* image,
                  std::span<const uint64_t> args, const RunOptions& options,
-                 CallerIdentity identity = {}) const override;
+                 CallerIdentity identity = {}) const;
 
   // Image-pinned form over the constructor-supplied image.
   RunOutcome Run(const Program& program, std::span<const uint64_t> args,

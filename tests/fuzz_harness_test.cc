@@ -79,8 +79,8 @@ TEST(FuzzHarnessTest, GhostWaiterInjectionIsCaughtAndTriagedToLockMgr) {
 
 TEST(FuzzHarnessTest, MaskWriteHoleInjectionIsCaughtAndTriagedToVerifier) {
   // Re-introduce the PR-6 seed bug: a forged program that rewrites the
-  // sandbox mask register, installed with a claimed proof so the fast path
-  // runs it with every bounds check deleted.
+  // sandbox mask register, installed with a claimed proof and compiled for
+  // Tier 1, which runs it with every bounds check deleted.
   fuzz::FuzzOptions options = BaseOptions("mask", 7, 60);
   options.inject.verifier_mask_write_hole = true;
   const fuzz::FuzzReport report = fuzz::RunFuzz(options);

@@ -5,9 +5,9 @@
 
 #include "src/graft/loader.h"
 #include "src/sfi/assembler.h"
-#include "src/sfi/exec_engine.h"
 #include "src/sfi/isa.h"
 #include "src/sfi/misfit.h"
+#include "src/sfi/threaded_vm.h"
 
 namespace vino {
 namespace {
@@ -194,14 +194,11 @@ TEST_F(LoaderTest, LoadedGraftsAreMarkedVerified) {
       loader_.Load(MakeSigned(callable_id_), {kUser, nullptr});
   ASSERT_TRUE(graft.ok());
   EXPECT_TRUE((*graft)->verified());
-  // Tier selection rides the same load: a verified program carries the
-  // Tier-1 pre-decoded artifact — unless VINO_EXEC_TIER=0 pins the process
-  // to the interpreter, in which case the loader must not compile at all.
-  if (MaxExecTier() >= ExecTier::kTier1) {
-    EXPECT_NE((*graft)->program().compiled, nullptr);
-  } else {
-    EXPECT_EQ((*graft)->program().compiled, nullptr);
-  }
+  // Compilation rides the same load: every verified program carries the
+  // Tier-1 pre-decoded artifact wherever the toolchain has computed goto.
+#if VINO_HAVE_COMPUTED_GOTO
+  EXPECT_NE((*graft)->program().compiled, nullptr);
+#endif
 }
 
 TEST_F(LoaderTest, RejectsRawProgramEvenIfSomehowSigned) {

@@ -14,7 +14,7 @@
 //      never lets a graft evict across address spaces, for random graft
 //      answers.
 //  P7. Verifier soundness: any program the load-time verifier accepts can
-//      run with the per-access bounds checks deleted — under arbitrary
+//      run on Tier 1, per-access bounds checks deleted — under arbitrary
 //      entry arguments — without touching kernel memory; and real
 //      instrumenter output always lands in the accept set with unchanged
 //      semantics.
@@ -179,9 +179,10 @@ class VerifierFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(VerifierFuzzTest, AcceptedForgeriesAreConfinedWithoutRuntimeChecks) {
   // Random forged instruction streams (hand-marked "instrumented", so no
   // instrumenter discipline) probe the analysis directly: whatever the
-  // verifier accepts runs with Program::verified set — every per-access
-  // InBounds branch deleted — under fuzzed entry arguments, and a kernel
-  // canary checks that the accept set really is the confined set.
+  // verifier accepts is compiled for Tier 1 — every per-access InBounds
+  // branch deleted — and run under fuzzed entry arguments. A kernel canary
+  // checks that the accept set really is the confined set, and the checked
+  // Tier-0 Vm must agree with the run.
   Rng rng(GetParam() ^ 0x5afe);
   HostCallTable host;
   size_t accepted = 0;
@@ -195,18 +196,33 @@ TEST_P(VerifierFuzzTest, AcceptedForgeriesAreConfinedWithoutRuntimeChecks) {
 
     Program verified = p;
     verified.verified = true;
+    verified.compiled = CompileThreaded(verified);
+    ASSERT_NE(verified.compiled, nullptr)
+        << "seed=" << GetParam() << " trial=" << trial;
     MemoryImage image(8192, 16);
+    MemoryImage checked_img(8192, 16);
     for (uint64_t i = 0; i < image.kernel_size(); ++i) {
       image.data()[i] = static_cast<uint8_t>(i * 29 + 3);
+      checked_img.data()[i] = image.data()[i];
     }
     uint64_t args[kMaxArgs];
     for (uint64_t& arg : args) {
       arg = rng.Next();  // Includes kernel addresses and wild pointers.
     }
-    Vm vm(&image, &host);
-    const RunOutcome out = vm.Run(verified, args, RunOptions{});
+    const RunOutcome out =
+        ThreadedVm(&host).Run(verified, &image, args, RunOptions{});
+    const RunOutcome checked =
+        Vm(&host).Run(p, &checked_img, args, RunOptions{});
+    EXPECT_EQ(out.tier, ExecTier::kTier1);
     EXPECT_EQ(out.status, Status::kOk)
         << "seed=" << GetParam() << " trial=" << trial;
+    EXPECT_EQ(out.status, checked.status);
+    EXPECT_EQ(out.ret, checked.ret);
+    EXPECT_EQ(out.instructions, checked.instructions);
+    EXPECT_EQ(std::memcmp(image.data(), checked_img.data(), image.total_size()),
+              0)
+        << "tiers left different images (seed=" << GetParam()
+        << " trial=" << trial << ")";
     for (uint64_t i = 0; i < image.kernel_size(); ++i) {
       if (image.data()[i] != static_cast<uint8_t>(i * 29 + 3)) {
         ADD_FAILURE() << "kernel byte " << i << " corrupted through the "
@@ -227,7 +243,8 @@ TEST_P(VerifierFuzzTest, AcceptedForgeriesAreConfinedWithoutRuntimeChecks) {
 
 TEST_P(VerifierFuzzTest, InstrumenterOutputVerifiesAndFastPathAgrees) {
   // Completeness half of P7: everything the real pipeline emits is in the
-  // accept set, and deleting the bounds checks never changes its meaning.
+  // accept set, and running it on Tier 1, bounds checks deleted, never
+  // changes its meaning relative to the checked Tier-0 Vm.
   Rng rng(GetParam() ^ 0xfa57);
   HostCallTable host;
   const int trials = fuzz::ItersFromEnv(40);
@@ -250,15 +267,24 @@ TEST_P(VerifierFuzzTest, InstrumenterOutputVerifiesAndFastPathAgrees) {
     }
     MemoryImage checked_img(8192, 16);
     MemoryImage verified_img(8192, 16);
-    Vm vm(&host);
     const RunOutcome checked =
-        vm.Run(*inst, &checked_img, args, RunOptions{});
+        Vm(&host).Run(*inst, &checked_img, args, RunOptions{});
     Program verified = *inst;
     verified.verified = true;
-    const RunOutcome fast = vm.Run(verified, &verified_img, args, RunOptions{});
+    verified.compiled = CompileThreaded(verified);
+    ASSERT_NE(verified.compiled, nullptr)
+        << "seed=" << GetParam() << " trial=" << trial;
+    const RunOutcome fast =
+        ThreadedVm(&host).Run(verified, &verified_img, args, RunOptions{});
+    EXPECT_EQ(fast.tier, ExecTier::kTier1);
     EXPECT_EQ(fast.status, checked.status);
     EXPECT_EQ(fast.ret, checked.ret);
     EXPECT_EQ(fast.instructions, checked.instructions);
+    EXPECT_EQ(std::memcmp(verified_img.data(), checked_img.data(),
+                          verified_img.total_size()),
+              0)
+        << "tiers left different images (seed=" << GetParam()
+        << " trial=" << trial << ")";
     if (DumpOnFailure("verifier-complete", GetParam(), trial, *inst,
                       "checked and checks-deleted paths diverged")) {
       return;

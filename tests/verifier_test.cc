@@ -16,6 +16,7 @@
 #include "src/sfi/isa.h"
 #include "src/sfi/memory_image.h"
 #include "src/sfi/misfit.h"
+#include "src/sfi/threaded_vm.h"
 #include "src/sfi/verifier.h"
 #include "src/sfi/vm.h"
 
@@ -481,11 +482,12 @@ TEST_F(VerifierTest, RejectsProgramsOverTheInstructionLimit) {
 }
 
 // ---------------------------------------------------------------------------
-// The payoff: the Vm's verified fast path is exactly as confined.
+// The payoff: the verified program's Tier-1 form, with its access checks
+// compiled out, is exactly as confined as the checked Tier-0 Vm.
 
 TEST_F(VerifierTest, VerifiedFastPathMatchesCheckedSemantics) {
-  // Same program, bounds-checked vs verified: identical results, and the
-  // kernel region stays clean either way.
+  // Same program, checked Vm vs Tier 1 on the verifier's proof: identical
+  // results, and the kernel region stays clean either way.
   Asm a("payload");
   auto loop = a.NewLabel();
   a.LoadImm(R1, 100).LoadImm(R2, 0).LoadImm(R3, 0).LoadImm(R0, 0);
@@ -511,8 +513,12 @@ TEST_F(VerifierTest, VerifiedFastPathMatchesCheckedSemantics) {
 
   Program verified = *inst;
   verified.verified = true;
-  const RunOutcome fast = vm.Run(verified, &verified_img, {}, RunOptions{});
+  verified.compiled = CompileThreaded(verified);
+  ASSERT_NE(verified.compiled, nullptr);
+  const RunOutcome fast =
+      ThreadedVm(&host_).Run(verified, &verified_img, {}, RunOptions{});
 
+  EXPECT_EQ(fast.tier, ExecTier::kTier1);
   EXPECT_EQ(checked.status, Status::kOk);
   EXPECT_EQ(fast.status, Status::kOk);
   EXPECT_EQ(fast.ret, checked.ret);

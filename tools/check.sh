@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate, mechanically catching what code review misses:
-#   1. normal build + full ctest suite, run twice: once with the loader
-#      forced to the Tier-1 direct-threaded engine (VINO_EXEC_TIER=1, also
-#      the default) and once pinned to the Tier-0 interpreter
-#      (VINO_EXEC_TIER=0),
+#   1. normal build + full ctest suite, once: the loader compiles every
+#      verified graft for the Tier-1 direct-threaded engine, and the
+#      differential tests (property_test's Tier/Verifier fuzz,
+#      threaded_vm_test, graftfuzz) run both engines inside one process,
 #   2. offline verifier audit: vverify (the same VerifySandbox analysis the
 #      loader runs) must accept every example graft graftc emits, and the
 #      misbehavior zoo — whose forged-toolchain grafts the loader's verifier
@@ -36,10 +36,9 @@
 #   8. ThreadSanitizer build + the concurrency-heavy tests, so dispatch
 #      races (Drain vs DispatchAsync, pool lifecycle, txn locks, ring
 #      snapshot-during-write, concurrent Tier-1 dispatch over one shared
-#      compiled artifact, lock-table sharding, namespace install/invoke/
-#      remove churn, the serving smoke itself) fail CI instead of shipping;
-#      the tier-differential tests then re-run forced to each execution
-#      tier, and the fuzz smoke re-runs under TSan,
+#      compiled artifact, the tier-differential fuzz, lock-table sharding,
+#      namespace install/invoke/remove churn, the serving smoke itself) fail
+#      CI instead of shipping; the fuzz smoke re-runs under TSan too,
 #   9. AddressSanitizer+UBSan build + the full suite (minus alloc_test,
 #      whose global operator-new counter conflicts with ASan's allocator
 #      interposition), so heap misuse and undefined behaviour in the Vm /
@@ -70,14 +69,10 @@ for arg in "$@"; do
   esac
 done
 
-echo "== [1/9] build + full test suite (both execution tiers) =="
+echo "== [1/9] build + full test suite =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
-# The loader's tier selection honours VINO_EXEC_TIER (unset defaults to the
-# Tier-1 direct-threaded engine). The whole suite must hold both with the
-# default and with the process pinned to the Tier-0 interpreter.
-VINO_EXEC_TIER=1 ctest --test-dir build --output-on-failure -j "$JOBS"
-VINO_EXEC_TIER=0 ctest --test-dir build --output-on-failure -j "$JOBS"
+ctest --test-dir build --output-on-failure -j "$JOBS"
 
 echo "== [2/9] offline verifier audit: vverify over example grafts + zoo =="
 AUDIT_DIR="$PWD/build/graft-audit"
@@ -187,7 +182,7 @@ build/tools/graftfuzz --smoke --artifacts "$FUZZ_ART" \
 # instruction counts, poll calls, host calls, registers and memory. The
 # verifier fuzz gets the same widening: every forgery the block-level
 # analysis accepts must stay confined with the bounds checks compiled out,
-# and the verified fast path must match the checked path.
+# and Tier 1 must match the checked Vm.
 if [[ "$FAST" != "1" ]]; then
   VINO_FUZZ_ITERS=20000 build/tests/property_test --gtest_filter='*Tier*'
   VINO_FUZZ_ITERS=20000 build/tests/property_test --gtest_filter='*Verifier*'
@@ -236,22 +231,13 @@ cmake --build build-tsan -j "$JOBS"
 # silences libstdc++ _Sp_atomic false positives (see that file).
 TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/tools/tsan.supp" \
   ctest --test-dir build-tsan \
-  -R 'worker_pool_test|robustness_test|stress_test|net_test|graft_point_test|txn_lock_test|watchdog_test|kernel_test|trace_test|trace_spool_test|abort_delivery_test|threaded_vm_test|install_stress_test|lockmgr_test|grafted_lockmgr_test' \
+  -R 'worker_pool_test|robustness_test|stress_test|net_test|graft_point_test|txn_lock_test|watchdog_test|kernel_test|trace_test|trace_spool_test|abort_delivery_test|threaded_vm_test|property_test|install_stress_test|lockmgr_test|grafted_lockmgr_test' \
   --output-on-failure -j "$JOBS"
 # The serving smoke under TSan: installer churn, hostile ejections, lock
 # waits, and HTTP dispatch racing across worker threads in one process.
 TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/tools/tsan.supp" \
   build-tsan/bench/serve_bench --smoke \
   --json "$PWD/build-tsan/serve.smoke.json"
-# The tier-differential fuzz and the threaded dispatcher's shared-artifact
-# races, with the loader forced to each tier in turn.
-for tier in 0 1; do
-  VINO_EXEC_TIER="$tier" \
-  TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/tools/tsan.supp" \
-    ctest --test-dir build-tsan \
-    -R 'property_test|threaded_vm_test|abort_delivery_test' \
-    --output-on-failure -j "$JOBS"
-done
 # The survive-and-eject fuzz smoke under TSan: spool drainer, watchdogless
 # abort delivery, and event-pool dispatch racing inside one live kernel.
 TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/tools/tsan.supp" \
@@ -265,15 +251,6 @@ cmake --build build-asan -j "$JOBS"
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=0" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
   ctest --test-dir build-asan -E 'alloc_test' --output-on-failure -j "$JOBS"
-# Differential tier coverage under ASan too, forced to each tier in turn.
-for tier in 0 1; do
-  VINO_EXEC_TIER="$tier" \
-  ASAN_OPTIONS="halt_on_error=1 detect_leaks=0" \
-  UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
-    ctest --test-dir build-asan \
-    -R 'property_test|threaded_vm_test|abort_delivery_test' \
-    --output-on-failure -j "$JOBS"
-done
 # The fuzz smoke under ASan+UBSan: generated hostility through the whole
 # load/verify/invoke/eject path with heap misuse and UB checked live.
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=0" \

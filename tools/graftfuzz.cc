@@ -150,8 +150,8 @@ int main(int argc, char** argv) {
   }
 
   // --smoke: the CI budget. Three fixed seeds x 700 programs = 2100
-  // generated programs per run, deterministic, both tiers via the loader's
-  // normal policy. Explicit flags still win.
+  // generated programs per run, deterministic, every accepted program
+  // compared on both tiers. Explicit flags still win.
   if (smoke) {
     if (seeds.empty()) {
       seeds = {0x5eed1, 0x5eed2, 0x5eed3};

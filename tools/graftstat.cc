@@ -813,9 +813,8 @@ int main(int argc, char** argv) {
   for (const Profile& p : profiles) {
     if (std::strcmp(p.name, "tiered-worker") == 0) {
       // A sandboxed program graft so the per-tier invocation counters have
-      // something to count: instrumented, verified, and — unless
-      // VINO_EXEC_TIER=0 pins the process to the interpreter — pre-decoded
-      // for the Tier-1 direct-threaded engine, exactly as the loader would.
+      // something to count: instrumented, verified, and pre-decoded for the
+      // Tier-1 direct-threaded engine, exactly as the loader would.
       vino::Asm a("tiered-worker");
       auto top = a.NewLabel();
       a.LoadImm(vino::R1, 12);
@@ -836,9 +835,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       program.verified = true;
-      if (vino::MaxExecTier() >= vino::ExecTier::kTier1) {
-        program.compiled = vino::CompileThreaded(program);
-      }
+      program.compiled = vino::CompileThreaded(program);
       grafts.push_back(std::make_shared<Graft>(p.name, std::move(program),
                                                GraftIdentity{1000, false},
                                                4096));
