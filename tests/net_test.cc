@@ -80,7 +80,8 @@ TEST_F(NetTest, ListenIsIdempotent) {
 
 TEST_F(NetTest, EchoHandlerRoundTrip) {
   EventGraftPoint* point = stack_.ListenTcp(7);
-  ASSERT_EQ(point->AddHandler(EchoHandler(), 1), Status::kOk);
+  std::shared_ptr<Graft> echo = EchoHandler();
+  ASSERT_EQ(point->AddHandler(echo, 1), Status::kOk);
 
   Result<ConnectionId> conn = stack_.DeliverConnection(7, "hello vino");
   ASSERT_TRUE(conn.ok());
@@ -89,6 +90,8 @@ TEST_F(NetTest, EchoHandlerRoundTrip) {
   EXPECT_EQ(c->tx, "hello vino");
   EXPECT_FALSE(c->open);  // Handler closed it.
   EXPECT_EQ(stack_.stats().bytes_sent, 10u);
+  // The committed send stays billed to the handler's own account.
+  EXPECT_EQ(echo->account().usage(ResourceType::kNetBandwidth), 10u);
 }
 
 TEST_F(NetTest, BandwidthLimitAbortsAndRetractsResponse) {

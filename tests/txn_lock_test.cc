@@ -99,8 +99,12 @@ TEST_F(TxnLockTest, NestedAbortReleasesOnlyItsOwnLocks) {
 
 TEST_F(TxnLockTest, ContentionHandoffWithoutTimeout) {
   // Uncontended-to-contended handoff: holder releases promptly; waiter gets
-  // the lock without any abort machinery.
-  TxnLock lock("l", FastTimeout());
+  // the lock without any abort machinery. The 1 ms hold must stay far below
+  // the contention time-out even when the scheduler stalls the holder, so
+  // this test alone waits 10 s, not FastTimeout()'s 5 ms.
+  TxnLock::Options patient = FastTimeout();
+  patient.contention_timeout = 10'000'000;
+  TxnLock lock("l", patient);
   ASSERT_EQ(lock.Acquire(), Status::kOk);
   std::atomic<bool> acquired{false};
   std::thread waiter([&] {

@@ -3,7 +3,13 @@
 #   1. normal build + full ctest suite, once: the loader compiles every
 #      verified graft for the Tier-1 direct-threaded engine, and the
 #      differential tests (property_test's Tier/Verifier fuzz,
-#      threaded_vm_test, graftfuzz) run both engines inside one process,
+#      threaded_vm_test, graftfuzz) run both engines inside one process;
+#      the suite includes serve_mixed_smoke, the multi-tenant serving
+#      scenario (perfbench's serve-mixed workload: 200 tenants, hostile mix
+#      included), whose survival invariants — every hostile graft ejected,
+#      zero false ejections, zero lost events, every tenant still serving,
+#      lock table drained, transactions balanced, hog charges rolled back —
+#      hard-fail every stage that runs it (1, 4, 7 and 8),
 #   2. offline verifier audit: vverify (the same VerifySandbox analysis the
 #      loader runs) must accept every example graft graftc emits, and the
 #      misbehavior zoo — whose forged-toolchain grafts the loader's verifier
@@ -13,19 +19,13 @@
 #      pool; any regression shows up here),
 #   4. flight recorder live: the whole suite re-run with VINO_TRACE=1 (every
 #      instrumentation site exercised with the ring hot) and spooled, every
-#      spool replayed by one `graftstat --spool <dir>`, plus a graftstat
-#      --json smoke test,
+#      spool (the serving smoke's included) replayed by one
+#      `graftstat --spool <dir>`, plus a graftstat --json smoke test,
 #   5. fleet observability: three kernel processes spool rotated segment
 #      rings into one VINO_SPOOL directory and `graftstat --spool <dir>
 #      --json` must multiplex all of them (tools/fleet_smoke.py), repeated
 #      under the flake guard since it exercises real process interleaving,
-#   6. multi-tenant serving smoke: serve_bench --smoke (200-installer
-#      scenario scaled down, hostile mix included) with the spool attached;
-#      its survival invariants — every hostile graft ejected, zero lost
-#      events, lock table drained, billing balanced, kernel still serving —
-#      hard-fail the gate, and the produced spool must replay cleanly
-#      through graftstat --spool,
-#   7. adversarial graft fuzzing: graftfuzz --smoke — deterministic
+#   6. adversarial graft fuzzing: graftfuzz --smoke — deterministic
 #      survive-and-eject campaigns (fixed seeds, all three program classes,
 #      both execution tiers) against a live kernel with the spool attached;
 #      any anomaly (sandbox escape, tier divergence, missed ejection, lost
@@ -33,23 +33,23 @@
 #      under build/fuzz-artifacts; outside --fast, the tier-differential
 #      and verifier property tests also run widened to 20000 trials per
 #      seed,
-#   8. ThreadSanitizer build + the concurrency-heavy tests, so dispatch
+#   7. ThreadSanitizer build + the concurrency-heavy tests, so dispatch
 #      races (Drain vs DispatchAsync, pool lifecycle, txn locks, ring
 #      snapshot-during-write, concurrent Tier-1 dispatch over one shared
 #      compiled artifact, the tier-differential fuzz, lock-table sharding,
 #      namespace install/invoke/remove churn, the serving smoke itself) fail
 #      CI instead of shipping; the fuzz smoke re-runs under TSan too,
-#   9. AddressSanitizer+UBSan build + the full suite (minus alloc_test,
+#   8. AddressSanitizer+UBSan build + the full suite (minus alloc_test,
 #      whose global operator-new counter conflicts with ASan's allocator
 #      interposition), so heap misuse and undefined behaviour in the Vm /
-#      packing / undo-replay paths fail CI too; the fuzz smoke re-runs
-#      under ASan+UBSan as well.
+#      packing / undo-replay paths and the serving smoke fail CI too; the
+#      fuzz smoke re-runs under ASan+UBSan as well.
 #
 # Usage: tools/check.sh [--fast] [--bench]
 #   --fast   skip the sanitizer stages (normal build + tests + flake guard
 #            + a reduced-budget fuzz smoke).
-#   --bench  also run the micro-benchmarks and the serving smoke and diff
-#            them against the committed BENCH_PR2/PR7/PR9 json snapshots
+#   --bench  also run the micro-benchmarks and diff them against the
+#            committed BENCH_PR2/PR7 json snapshots
 #            (warn-only: shared CI boxes are too noisy for a hard perf
 #            gate; read the table — unless VINO_QUIET_RUNNER=1 marks the
 #            box as quiet enough to make a statistically significant
@@ -69,12 +69,12 @@ for arg in "$@"; do
   esac
 done
 
-echo "== [1/9] build + full test suite =="
+echo "== [1/8] build + full test suite =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== [2/9] offline verifier audit: vverify over example grafts + zoo =="
+echo "== [2/8] offline verifier audit: vverify over example grafts + zoo =="
 AUDIT_DIR="$PWD/build/graft-audit"
 rm -rf "$AUDIT_DIR" && mkdir -p "$AUDIT_DIR"
 for src in examples/grafts/*.vasm; do
@@ -96,11 +96,11 @@ grep -q 'Forged toolchain' "$AUDIT_DIR/zoo.out" || {
   echo "zoo output missing the forged-toolchain section" >&2; exit 1; }
 echo "verifier audit: ok (offline vverify and in-kernel loader agree)"
 
-echo "== [3/9] flaky-dispatch guard: robustness_test x20 =="
+echo "== [3/8] flaky-dispatch guard: robustness_test x20 =="
 ctest --test-dir build -R robustness_test --repeat until-fail:20 \
   --output-on-failure
 
-echo "== [4/9] flight recorder live: suite with VINO_TRACE=1 + spooling + graftstat =="
+echo "== [4/8] flight recorder live: suite with VINO_TRACE=1 + spooling + graftstat =="
 # VINO_SPOOL makes every VinoKernel constructed by the suite spool its
 # flight recorder to a per-kernel file; one graftstat --spool over the
 # directory must then find them and read every one cleanly (each kernel
@@ -140,7 +140,7 @@ print(f"graftstat --json smoke: ok ({aborts} aborts, {records} records, "
       f"{len(tiered)} tiered graft(s))")
 '
 
-echo "== [5/9] fleet observability: multi-kernel spool dir, one attach =="
+echo "== [5/8] fleet observability: multi-kernel spool dir, one attach =="
 # Three graftstat self-test processes spool rotated segment rings into one
 # VINO_SPOOL directory; one --spool view must multiplex all of them. Real
 # process interleaving, so it runs under the same until-fail flake guard as
@@ -148,20 +148,7 @@ echo "== [5/9] fleet observability: multi-kernel spool dir, one attach =="
 ctest --test-dir build -R graftstat_fleet_smoke --repeat until-fail:5 \
   --output-on-failure
 
-echo "== [6/9] multi-tenant serving smoke: survival invariants hard-fail =="
-# A scaled-down 48-installer run of the PR-9 serving scenario, hostile mix
-# included, flight recorder spooled. serve_bench exits non-zero if any
-# survival invariant fails (hostile graft not ejected, lost events,
-# stranded lock waiters, unbalanced billing, kernel not serving), which
-# fails this gate; the spool it produced must then replay cleanly.
-SERVE_SPOOL="$PWD/build/serve-smoke-spool.bin"
-rm -f "$SERVE_SPOOL"
-VINO_TRACE=1 build/bench/serve_bench --smoke \
-  --spool "$SERVE_SPOOL" --json "$PWD/build/serve.smoke.json"
-build/tools/graftstat --spool "$SERVE_SPOOL" --json >/dev/null
-echo "serving smoke: ok (all invariants held; spool replayed cleanly)"
-
-echo "== [7/9] adversarial graft fuzzing: graftfuzz --smoke =="
+echo "== [6/8] adversarial graft fuzzing: graftfuzz --smoke =="
 # Deterministic survive-and-eject campaigns: fixed seeds drive generated
 # valid / forged / byte-soup programs through the full load -> verify ->
 # install -> invoke -> abort/eject lifecycle on a live kernel with the
@@ -210,40 +197,28 @@ if [[ "$BENCH" == "1" ]]; then
     --benchmark_min_time=0.05 >/dev/null
   tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
     "BENCH_PR7.json#bench_sfi.after" "build/bench_sfi.smoke.json"
-  echo "== [bench] serving macro smoke vs BENCH_PR9.json ($GATE_LABEL) =="
-  # Same shape serve_load.py records under the "smoke" key: per-epoch
-  # repetitions of the --smoke scenario, so --sigmas has spread to work with.
-  build/bench/serve_bench --smoke --epochs 4 \
-    --json "build/serve_bench.smoke.json" >/dev/null
-  tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
-    "BENCH_PR9.json#smoke" "build/serve_bench.smoke.json"
 fi
 
 if [[ "$FAST" == "1" ]]; then
-  echo "== [8/9] [9/9] skipped (--fast) =="
+  echo "== [7/8] [8/8] skipped (--fast) =="
   exit 0
 fi
 
-echo "== [8/9] ThreadSanitizer: concurrency-heavy tests =="
+echo "== [7/8] ThreadSanitizer: concurrency-heavy tests =="
 cmake -B build-tsan -S . -DVINO_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS"
 # TSAN_OPTIONS: fail the test process on the first report; tools/tsan.supp
 # silences libstdc++ _Sp_atomic false positives (see that file).
 TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/tools/tsan.supp" \
   ctest --test-dir build-tsan \
-  -R 'worker_pool_test|robustness_test|stress_test|net_test|graft_point_test|txn_lock_test|watchdog_test|kernel_test|trace_test|trace_spool_test|abort_delivery_test|threaded_vm_test|property_test|install_stress_test|lockmgr_test|grafted_lockmgr_test' \
+  -R 'worker_pool_test|robustness_test|stress_test|net_test|graft_point_test|txn_lock_test|watchdog_test|kernel_test|trace_test|trace_spool_test|abort_delivery_test|threaded_vm_test|property_test|install_stress_test|lockmgr_test|grafted_lockmgr_test|serve_mixed_smoke' \
   --output-on-failure -j "$JOBS"
-# The serving smoke under TSan: installer churn, hostile ejections, lock
-# waits, and HTTP dispatch racing across worker threads in one process.
-TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/tools/tsan.supp" \
-  build-tsan/bench/serve_bench --smoke \
-  --json "$PWD/build-tsan/serve.smoke.json"
 # The survive-and-eject fuzz smoke under TSan: spool drainer, watchdogless
 # abort delivery, and event-pool dispatch racing inside one live kernel.
 TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/tools/tsan.supp" \
   build-tsan/tools/graftfuzz --smoke --artifacts "$FUZZ_ART"
 
-echo "== [9/9] AddressSanitizer+UBSan: full suite (minus alloc_test) =="
+echo "== [8/8] AddressSanitizer+UBSan: full suite (minus alloc_test) =="
 cmake -B build-asan -S . -DVINO_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS"
 # alloc_test is excluded: it replaces global operator new to count heap
