@@ -35,22 +35,28 @@ Status EventGraftPoint::AddHandler(std::shared_ptr<Graft> graft, int order) {
     return Status::kRestrictedPoint;
   }
   std::lock_guard<std::mutex> guard(mutex_);
-  for (const Handler& h : handlers_) {
+  const std::shared_ptr<const HandlerList> current = SnapshotHandlers();
+  for (const Handler& h : *current) {
     if (h.graft->name() == graft->name()) {
       return Status::kAlreadyExists;
     }
   }
-  handlers_.push_back(Handler{std::move(graft), order});
-  std::stable_sort(handlers_.begin(), handlers_.end(),
+  auto next = std::make_shared<HandlerList>(*current);
+  next->push_back(Handler{std::move(graft), order});
+  std::stable_sort(next->begin(), next->end(),
                    [](const Handler& a, const Handler& b) { return a.order < b.order; });
+  handlers_.store(std::move(next), std::memory_order_release);
   return Status::kOk;
 }
 
 Status EventGraftPoint::RemoveHandler(const std::string& graft_name) {
   std::lock_guard<std::mutex> guard(mutex_);
-  for (auto it = handlers_.begin(); it != handlers_.end(); ++it) {
+  const std::shared_ptr<const HandlerList> current = SnapshotHandlers();
+  for (auto it = current->begin(); it != current->end(); ++it) {
     if (it->graft->name() == graft_name) {
-      handlers_.erase(it);
+      auto next = std::make_shared<HandlerList>(current->begin(), it);
+      next->insert(next->end(), it + 1, current->end());
+      handlers_.store(std::move(next), std::memory_order_release);
       return Status::kOk;
     }
   }
@@ -58,18 +64,7 @@ Status EventGraftPoint::RemoveHandler(const std::string& graft_name) {
 }
 
 size_t EventGraftPoint::handler_count() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return handlers_.size();
-}
-
-std::vector<std::shared_ptr<Graft>> EventGraftPoint::SnapshotHandlers() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  std::vector<std::shared_ptr<Graft>> out;
-  out.reserve(handlers_.size());
-  for (const Handler& h : handlers_) {
-    out.push_back(h.graft);
-  }
-  return out;
+  return SnapshotHandlers()->size();
 }
 
 bool EventGraftPoint::RunHandler(const std::shared_ptr<Graft>& graft,
@@ -118,29 +113,60 @@ EventGraftPoint::DispatchOutcome EventGraftPoint::Dispatch(
     std::span<const uint64_t> args) {
   DispatchOutcome outcome;
   counters_.Add(kEvents);
-  const auto handlers = SnapshotHandlers();
-  for (const auto& graft : handlers) {
+  const std::shared_ptr<const HandlerList> handlers = SnapshotHandlers();
+  for (const Handler& h : *handlers) {
     ++outcome.handlers_run;
-    if (!RunAndCount(graft, args)) {
+    if (!RunAndCount(h.graft, args)) {
       ++outcome.handler_aborts;
     }
   }
   return outcome;
 }
 
-void EventGraftPoint::DispatchAsync(std::vector<uint64_t> args) {
-  const auto handlers = SnapshotHandlers();
+namespace {
+
+// One async event, shared by its handler tasks: the arguments, and a count
+// of handlers still to finish. Whoever drops the count to zero runs the
+// completion hook — refcount, then idle.
+struct AsyncEvent {
+  AsyncEvent(std::vector<uint64_t> a, size_t handlers, std::function<void()> hook)
+      : args(std::move(a)), pending(handlers), on_complete(std::move(hook)) {}
+
+  const std::vector<uint64_t> args;
+  std::atomic<size_t> pending;
+  const std::function<void()> on_complete;
+
+  void HandlerDone() {
+    if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1 && on_complete) {
+      on_complete();
+    }
+  }
+};
+
+}  // namespace
+
+void EventGraftPoint::DispatchAsync(std::vector<uint64_t> args,
+                                    std::function<void()> on_complete) {
+  const std::shared_ptr<const HandlerList> handlers = SnapshotHandlers();
   counters_.Add(kEvents);
+  if (handlers->empty()) {
+    if (on_complete) {
+      on_complete();
+    }
+    return;
+  }
   // Handlers share one immutable copy of the event arguments.
-  const auto shared_args =
-      std::make_shared<const std::vector<uint64_t>>(std::move(args));
-  for (const auto& graft : handlers) {
+  const auto event = std::make_shared<AsyncEvent>(
+      std::move(args), handlers->size(), std::move(on_complete));
+  for (const Handler& h : *handlers) {
+    const std::shared_ptr<Graft>& graft = h.graft;
     // kThreads is admission control on per-handler concurrency: one unit
     // per in-flight pool task. A handler at its limit still receives the
     // event — synchronously, on the dispatching thread. Never drop.
     if (!IsOk(graft->account().Charge(ResourceType::kThreads, 1))) {
-      RunAndCount(graft, *shared_args);
+      RunAndCount(graft, event->args);
       counters_.Add(kAsyncInlineRuns);
+      event->HandlerDone();
       continue;
     }
     {
@@ -153,11 +179,12 @@ void EventGraftPoint::DispatchAsync(std::vector<uint64_t> args) {
     // this very thread if saturated; the thread-id comparison below keeps
     // the pool/inline stats honest either way.
     const std::thread::id submitter = std::this_thread::get_id();
-    pool().Submit([this, graft, shared_args, submitter] {
-      RunAndCount(graft, *shared_args);
+    pool().Submit([this, graft, event, submitter] {
+      RunAndCount(graft, event->args);
       graft->account().Uncharge(ResourceType::kThreads, 1);
       counters_.Add(std::this_thread::get_id() == submitter ? kAsyncInlineRuns
                                                             : kAsyncPoolRuns);
+      event->HandlerDone();
       std::lock_guard<std::mutex> guard(drain_mutex_);
       if (--in_flight_ == 0) {
         drained_.notify_all();

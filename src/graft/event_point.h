@@ -22,6 +22,10 @@
 // dropped — the only way a handler misses an event is removal (its own
 // abort, Rule 8 forcible removal, or an explicit RemoveHandler).
 //
+// Handler list. Add/Remove copy the sorted list and swap it in whole
+// (copy-on-write); a dispatch takes one reference to the current list, so
+// the delivery path neither locks nor allocates to snapshot its handlers.
+//
 // Lifecycle. Each point tracks its own in-flight async task count; Drain()
 // blocks until it reaches zero, and the destructor drains. A DispatchAsync
 // racing Drain() is safe: a task registered before Drain observes zero is
@@ -41,8 +45,10 @@
 #ifndef VINOLITE_SRC_GRAFT_EVENT_POINT_H_
 #define VINOLITE_SRC_GRAFT_EVENT_POINT_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -114,7 +120,13 @@ class EventGraftPoint {
   // worker — or whose pool is saturated — runs inline on the calling
   // thread instead; the event is delivered either way. Outstanding tasks
   // are awaited by Drain() or the destructor.
-  void DispatchAsync(std::vector<uint64_t> args);
+  //
+  // `on_complete`, if set, runs exactly once: on the thread that finishes
+  // the event's last handler, or at once on the calling thread when the
+  // event has no handler. It runs before that handler's task counts as
+  // finished, so a Drain() that returns has seen every hook run.
+  void DispatchAsync(std::vector<uint64_t> args,
+                     std::function<void()> on_complete = nullptr);
 
   // Waits for all asynchronous handler invocations dispatched by this
   // point to finish. Safe to call concurrently with DispatchAsync.
@@ -155,7 +167,12 @@ class EventGraftPoint {
   bool RunAndCount(const std::shared_ptr<Graft>& graft,
                    std::span<const uint64_t> args);
 
-  [[nodiscard]] std::vector<std::shared_ptr<Graft>> SnapshotHandlers() const;
+  using HandlerList = std::vector<Handler>;  // Sorted by order.
+
+  // One reference to the current list: no mutex, no allocation.
+  [[nodiscard]] std::shared_ptr<const HandlerList> SnapshotHandlers() const {
+    return handlers_.load(std::memory_order_acquire);
+  }
 
   [[nodiscard]] WorkerPool& pool() const {
     return config_.pool != nullptr ? *config_.pool : WorkerPool::Default();
@@ -170,8 +187,10 @@ class EventGraftPoint {
   // on every delivery flavour (the engines are stateless). See invocation.h.
   GraftExecContext exec_;
 
-  mutable std::mutex mutex_;
-  std::vector<Handler> handlers_;  // Sorted by order.
+  // Serializes Add/Remove; readers never take it.
+  std::mutex mutex_;
+  std::atomic<std::shared_ptr<const HandlerList>> handlers_{
+      std::make_shared<const HandlerList>()};
 
   // Drain-safe async lifecycle: in-flight pool tasks from this point.
   mutable std::mutex drain_mutex_;

@@ -57,17 +57,15 @@ NetStack::NetStack(TxnManager* txn_manager, HostCallTable* host,
         if (!IsOk(charge)) {
           return charge;
         }
-        std::string bytes(ctx.args[2], '\0');
-        const Status s = ctx.image->Read(ctx.args[1], bytes.data(), bytes.size());
+        const size_t prior_size = conn->tx.size();
+        conn->tx.resize(prior_size + ctx.args[2]);
+        const Status s =
+            ctx.image->Read(ctx.args[1], conn->tx.data() + prior_size, ctx.args[2]);
         if (!IsOk(s)) {
+          conn->tx.resize(prior_size);
           return s;
         }
-        const size_t prior_size = conn->tx.size();
-        conn->tx += bytes;
-        {
-          std::lock_guard<std::mutex> guard(mutex_);
-          stats_.bytes_sent += bytes.size();
-        }
+        counters_.Add(kBytesSent, ctx.args[2]);
         TxnOnAbort([conn, prior_size] { conn->tx.resize(prior_size); });
         return ctx.args[2];
       },
@@ -90,109 +88,140 @@ NetStack::NetStack(TxnManager* txn_manager, HostCallTable* host,
       /*graft_callable=*/true);
 }
 
-EventGraftPoint* NetStack::Listen(const std::string& name) {
+EventGraftPoint* NetStack::Listen(Protocol protocol, uint16_t number) {
   std::lock_guard<std::mutex> guard(mutex_);
-  const auto it = points_.find(name);
-  if (it != points_.end()) {
-    return it->second.get();
+  if (Port* existing = FindPort(protocol, number)) {
+    return existing->point.get();
+  }
+  const uint32_t key = protocol << 16 | number;
+  std::atomic<PortPage*>& page_ref = port_pages_[key / kPortPageSize];
+  PortPage* page = page_ref.load(std::memory_order_relaxed);
+  if (page == nullptr) {
+    page = page_storage_.emplace_back(std::make_unique<PortPage>()).get();
+    page_ref.store(page, std::memory_order_release);
   }
   EventGraftPoint::Config config;
   config.pool = pool_;
-  auto point = std::make_unique<EventGraftPoint>(name, config, txn_manager_,
-                                                 host_, ns_);
-  EventGraftPoint* raw = point.get();
-  points_.emplace(name, std::move(point));
-  return raw;
+  const std::string name =
+      protocol == kTcp
+          ? "net.tcp." + std::to_string(number) + ".connection"
+          : "net.udp." + std::to_string(number) + ".packet";
+  auto port = std::make_unique<Port>();
+  port->point = std::make_unique<EventGraftPoint>(name, config, txn_manager_,
+                                                  host_, ns_);
+  page->ports[key % kPortPageSize].store(port.get(), std::memory_order_release);
+  return ports_.emplace_back(std::move(port))->point.get();
 }
 
-EventGraftPoint* NetStack::FindPoint(const std::string& name) {
+NetStack::Port* NetStack::FindPort(Protocol protocol, uint16_t number) const {
+  const uint32_t key = protocol << 16 | number;
+  const PortPage* page =
+      port_pages_[key / kPortPageSize].load(std::memory_order_acquire);
+  return page == nullptr
+             ? nullptr
+             : page->ports[key % kPortPageSize].load(std::memory_order_acquire);
+}
+
+EventGraftPoint* NetStack::ListenTcp(uint16_t port) { return Listen(kTcp, port); }
+
+EventGraftPoint* NetStack::ListenUdp(uint16_t port) { return Listen(kUdp, port); }
+
+NetStack::Slot& NetStack::SlotAt(uint32_t slot) const {
+  return chunks_[slot / kChunkSlots].load(std::memory_order_acquire)[slot % kChunkSlots];
+}
+
+uint32_t NetStack::AcquireSlot(Port& port) {
+  const uint32_t spare = port.spare.exchange(kNoSlot, std::memory_order_acquire);
+  if (spare != kNoSlot) {
+    return spare;
+  }
   std::lock_guard<std::mutex> guard(mutex_);
-  const auto it = points_.find(name);
-  return it == points_.end() ? nullptr : it->second.get();
+  if (!free_slots_.empty()) {
+    const uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  if (slot_count_ == kChunkSlots * kMaxChunks) {
+    return kNoSlot;
+  }
+  const uint32_t slot = slot_count_++;
+  if (slot % kChunkSlots == 0) {
+    Slot* chunk =
+        chunk_storage_.emplace_back(std::make_unique<Slot[]>(kChunkSlots)).get();
+    chunks_[slot / kChunkSlots].store(chunk, std::memory_order_release);
+  }
+  return slot;
 }
 
-EventGraftPoint* NetStack::ListenTcp(uint16_t port) {
-  return Listen("net.tcp." + std::to_string(port) + ".connection");
+void NetStack::Complete(Port& port, uint32_t slot) {
+  const uint32_t prior = port.last.exchange(slot, std::memory_order_acq_rel);
+  if (prior == kNoSlot) {
+    return;
+  }
+  // Odd generation: the displaced connection's id stops resolving.
+  SlotAt(prior).generation.fetch_add(1, std::memory_order_release);
+  counters_.Add(kRecycled);
+  uint32_t empty = kNoSlot;
+  if (!port.spare.compare_exchange_strong(empty, prior,
+                                          std::memory_order_release,
+                                          std::memory_order_relaxed)) {
+    std::lock_guard<std::mutex> guard(mutex_);
+    free_slots_.push_back(prior);
+  }
 }
 
-EventGraftPoint* NetStack::ListenUdp(uint16_t port) {
-  return Listen("net.udp." + std::to_string(port) + ".packet");
-}
+Result<ConnectionId> NetStack::Deliver(Protocol protocol, uint16_t number,
+                                       std::string_view payload, bool async) {
+  Port* port = FindPort(protocol, number);
+  if (port == nullptr) {
+    return Status::kNotFound;
+  }
+  const uint32_t slot = AcquireSlot(*port);
+  if (slot == kNoSlot) {
+    return Status::kNoMemory;
+  }
+  Slot& entry = SlotAt(slot);
+  // Even generation: live. The id carries it.
+  const uint32_t generation =
+      entry.generation.fetch_add(1, std::memory_order_release) + 1;
+  Connection& conn = entry.conn;
+  conn.id = static_cast<ConnectionId>(generation) << 32 | slot;
+  conn.port = number;
+  conn.open = true;
+  conn.rx.assign(payload);
+  conn.rx_consumed = 0;
+  conn.tx.clear();
+  counters_.Add(protocol == kTcp ? kConnections : kPackets);
 
-ConnectionId NetStack::NewConnection(uint16_t port, std::string payload) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  const ConnectionId id = next_conn_id_++;
-  auto conn = std::make_unique<Connection>();
-  conn->id = id;
-  conn->port = port;
-  conn->rx = std::move(payload);
-  connections_.emplace(id, std::move(conn));
+  const ConnectionId id = conn.id;
+  if (async) {
+    port->point->DispatchAsync({id}, [this, port, slot] { Complete(*port, slot); });
+  } else {
+    const uint64_t args[1] = {id};
+    port->point->Dispatch(args);
+    Complete(*port, slot);
+  }
   return id;
 }
 
 Result<ConnectionId> NetStack::DeliverConnection(uint16_t port,
-                                                 std::string request) {
-  EventGraftPoint* point =
-      FindPoint("net.tcp." + std::to_string(port) + ".connection");
-  if (point == nullptr) {
-    return Status::kNotFound;
-  }
-  const ConnectionId id = NewConnection(port, std::move(request));
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++stats_.connections;
-  }
-  const uint64_t args[1] = {id};
-  point->Dispatch(args);
-  return id;
+                                                 std::string_view request) {
+  return Deliver(kTcp, port, request, /*async=*/false);
 }
 
-Result<ConnectionId> NetStack::DeliverPacket(uint16_t port, std::string payload) {
-  EventGraftPoint* point =
-      FindPoint("net.udp." + std::to_string(port) + ".packet");
-  if (point == nullptr) {
-    return Status::kNotFound;
-  }
-  const ConnectionId id = NewConnection(port, std::move(payload));
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++stats_.packets;
-  }
-  const uint64_t args[1] = {id};
-  point->Dispatch(args);
-  return id;
+Result<ConnectionId> NetStack::DeliverPacket(uint16_t port,
+                                             std::string_view payload) {
+  return Deliver(kUdp, port, payload, /*async=*/false);
 }
 
 Result<ConnectionId> NetStack::DeliverConnectionAsync(uint16_t port,
-                                                      std::string request) {
-  EventGraftPoint* point =
-      FindPoint("net.tcp." + std::to_string(port) + ".connection");
-  if (point == nullptr) {
-    return Status::kNotFound;
-  }
-  const ConnectionId id = NewConnection(port, std::move(request));
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++stats_.connections;
-  }
-  point->DispatchAsync({id});
-  return id;
+                                                      std::string_view request) {
+  return Deliver(kTcp, port, request, /*async=*/true);
 }
 
 Result<ConnectionId> NetStack::DeliverPacketAsync(uint16_t port,
-                                                  std::string payload) {
-  EventGraftPoint* point =
-      FindPoint("net.udp." + std::to_string(port) + ".packet");
-  if (point == nullptr) {
-    return Status::kNotFound;
-  }
-  const ConnectionId id = NewConnection(port, std::move(payload));
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++stats_.packets;
-  }
-  point->DispatchAsync({id});
-  return id;
+                                                  std::string_view payload) {
+  return Deliver(kUdp, port, payload, /*async=*/true);
 }
 
 void NetStack::DrainEvents() {
@@ -201,9 +230,9 @@ void NetStack::DrainEvents() {
   std::vector<EventGraftPoint*> points;
   {
     std::lock_guard<std::mutex> guard(mutex_);
-    points.reserve(points_.size());
-    for (const auto& [name, point] : points_) {
-      points.push_back(point.get());
+    points.reserve(ports_.size());
+    for (const auto& port : ports_) {
+      points.push_back(port->point.get());
     }
   }
   for (EventGraftPoint* point : points) {
@@ -212,14 +241,28 @@ void NetStack::DrainEvents() {
 }
 
 Connection* NetStack::FindConnection(ConnectionId id) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  const auto it = connections_.find(id);
-  return it == connections_.end() ? nullptr : it->second.get();
+  const auto slot = static_cast<uint32_t>(id);
+  const auto generation = static_cast<uint32_t>(id >> 32);
+  if (slot / kChunkSlots >= kMaxChunks || generation % 2 != 0) {
+    return nullptr;
+  }
+  Slot* chunk = chunks_[slot / kChunkSlots].load(std::memory_order_acquire);
+  if (chunk == nullptr) {
+    return nullptr;
+  }
+  Slot& entry = chunk[slot % kChunkSlots];
+  return entry.generation.load(std::memory_order_acquire) == generation
+             ? &entry.conn
+             : nullptr;
 }
 
 NetStack::Stats NetStack::stats() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return stats_;
+  Stats s;
+  s.connections = counters_.Read(kConnections);
+  s.packets = counters_.Read(kPackets);
+  s.bytes_sent = counters_.Read(kBytesSent);
+  s.live_connections = s.connections + s.packets - counters_.Read(kRecycled);
+  return s;
 }
 
 }  // namespace vino

@@ -19,8 +19,11 @@
 #include "src/base/trace.h"
 #include "src/base/trace_spool.h"
 #include "src/graft/function_point.h"
+#include "src/net/net_stack.h"
 #include "src/sfi/assembler.h"
 #include "src/sfi/misfit.h"
+#include "src/sfi/threaded_vm.h"
+#include "src/sfi/verifier.h"
 #include "src/txn/accessor.h"
 #include "src/txn/txn_manager.h"
 #include "src/txn/undo_log.h"
@@ -316,6 +319,73 @@ TEST_F(AllocTest, TracingEnabledProgramGraftSafePathIsAllocationFree) {
   EXPECT_EQ(AllocCount() - before, 0u);
   EXPECT_TRUE(point.grafted()) << "graft must not have been removed";
   trace::SetEnabled(false);
+}
+
+TEST_F(AllocTest, SteadyStateSyncDeliveryIsAllocationFree) {
+  // The serving path's connection event: a verified HTTP handler (recv the
+  // request, send a canned reply from its arena, close) on a TCP port. Once
+  // warm, a synchronous delivery reuses the port's recycled connection and
+  // its string capacity, finds the point and the connection by index, and
+  // snapshots the handler list by reference: zero allocations.
+  constexpr uint32_t kArenaLog2 = 12;
+  constexpr int64_t kArenaBase = 4096;  // Kernel region 4096, arena 4 KiB.
+  constexpr int64_t kReplyOffset = 1024;
+  constexpr std::string_view kReply = "HTTP/1.0 200 OK\r\n\r\nhello";
+  NetStack net(&txn_, &host_, nullptr);
+  Asm a("http");
+  auto not_get = a.NewLabel();
+  a.Mov(R6, R0);  // Connection id.
+  a.LoadImm(R7, kArenaBase);
+  a.Mov(R1, R7);
+  a.LoadImm(R2, 1024);
+  a.Call(host_.IdOf("net.recv").value());
+  a.Ld8(R9, R7);
+  a.LoadImm(R10, 'G');
+  a.Bne(R9, R10, not_get);
+  a.Mov(R0, R6);
+  a.LoadImm(R1, kArenaBase + kReplyOffset);
+  a.LoadImm(R2, static_cast<int64_t>(kReply.size()));
+  a.Call(host_.IdOf("net.send").value());
+  a.Bind(not_get);
+  a.Mov(R0, R6);
+  a.Call(host_.IdOf("net.close").value());
+  a.LoadImm(R0, 1);
+  a.Halt();
+  Result<Program> inst = Instrument(*a.Finish(), MisfitOptions{kArenaLog2});
+  ASSERT_TRUE(inst.ok());
+  // The loader's last two steps: prove the sandbox, build the Tier-1 form.
+  VerifierOptions verify;
+  verify.host = &host_;
+  ASSERT_TRUE(VerifySandbox(*inst, verify).ok());
+  inst->verified = true;
+  inst->compiled = CompileThreaded(*inst);
+  auto graft = std::make_shared<Graft>("http", *inst, kRoot, 4096);
+  ASSERT_TRUE(graft->verified());
+  ASSERT_EQ(graft->image().arena_base(), static_cast<uint64_t>(kArenaBase));
+  ASSERT_EQ(graft->image().Write(kArenaBase + kReplyOffset, kReply.data(),
+                                 kReply.size()),
+            Status::kOk);
+  graft->account().SetLimit(ResourceType::kNetBandwidth, uint64_t{1} << 40);
+  ASSERT_EQ(net.ListenTcp(80)->AddHandler(graft, 1), Status::kOk);
+
+  constexpr std::string_view kRequest = "GET / HTTP/1.0\r\n\r\n";
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(net.DeliverConnection(80, kRequest).ok());  // Warm the slab.
+  }
+  const uint64_t before = AllocCount();
+  for (int i = 0; i < 10'000; ++i) {
+    (void)net.DeliverConnection(80, kRequest);
+  }
+  EXPECT_EQ(AllocCount() - before, 0u);
+
+  Result<ConnectionId> last = net.DeliverConnection(80, kRequest);
+  ASSERT_TRUE(last.ok());
+  const Connection* c = net.FindConnection(*last);
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->tx, kReply);
+  EXPECT_FALSE(c->open);
+  EXPECT_EQ(graft->tier_runs(ExecTier::kTier1), graft->invocations());
+  EXPECT_EQ(net.stats().live_connections, 1u);
 }
 
 }  // namespace

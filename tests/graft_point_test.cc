@@ -448,6 +448,35 @@ TEST_F(EventPointTest, AsyncWorkersChargeThreadResource) {
   EXPECT_EQ(s2.async_inline_runs, 1u);
 }
 
+TEST_F(EventPointTest, AsyncCompletionHookRunsOnceAfterLastHandler) {
+  EventGraftPoint point("ev", EventGraftPoint::Config{}, &txn_, &host_, &ns_);
+  // No handler: the hook runs at once, on the dispatching thread.
+  int empty_hooks = 0;
+  point.DispatchAsync({1}, [&empty_hooks] { ++empty_hooks; });
+  EXPECT_EQ(empty_hooks, 1);
+
+  for (int i = 0; i < 3; ++i) {
+    auto native = std::make_shared<Graft>(
+        "h" + std::to_string(i),
+        [](std::span<const uint64_t>, MemoryImage*) -> Result<uint64_t> {
+          std::this_thread::yield();
+          return 0ull;
+        },
+        kRoot);
+    native->account().SetLimit(ResourceType::kThreads, 1);
+    ASSERT_EQ(point.AddHandler(native, i), Status::kOk);
+  }
+  std::atomic<int> hooks{0};
+  std::atomic<uint64_t> runs_at_hook{0};
+  point.DispatchAsync({2}, [&] {
+    runs_at_hook.store(point.stats().handler_runs);
+    hooks.fetch_add(1);
+  });
+  point.Drain();
+  EXPECT_EQ(hooks.load(), 1);
+  EXPECT_EQ(runs_at_hook.load(), 3u) << "hook ran before the last handler";
+}
+
 TEST_F(EventPointTest, EventNamespaceLookup) {
   EventGraftPoint point("net.udp.2049.packet", EventGraftPoint::Config{}, &txn_,
                         &host_, &ns_);

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <mutex>
+#include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/net/net_stack.h"
@@ -220,19 +225,25 @@ TEST_F(NetTest, AsyncDeliveryCompletesAfterDrain) {
 
 TEST_F(NetTest, AsyncTrafficFromManyDispatchersNoEventLost) {
   // Route a burst of UDP traffic through the pool from several dispatcher
-  // threads; every packet must be answered after the drain. The handler is
-  // native and touches only its own connection, so concurrent invocations
-  // (pool workers + inline fallbacks) never share mutable state — a VM
-  // graft would share its one arena across workers.
+  // threads; every packet must be answered exactly once. A packet's id is
+  // valid only until the port's next completed delivery, so the handler
+  // records (id, reply) during its own delivery. It is native and touches
+  // only its own connection, so concurrent invocations (pool workers +
+  // inline fallbacks) share nothing but the record — a VM graft would share
+  // its one arena across workers.
+  std::mutex answers_mutex;
+  std::vector<std::pair<ConnectionId, std::string>> answers;
   EventGraftPoint* point = stack_.ListenUdp(5353);
   auto handler = std::make_shared<Graft>(
       "native-echo",
-      [this](std::span<const uint64_t> args, MemoryImage*) -> Result<uint64_t> {
+      [&](std::span<const uint64_t> args, MemoryImage*) -> Result<uint64_t> {
         Connection* c = stack_.FindConnection(args[0]);
         if (c == nullptr) {
           return Status::kNotFound;
         }
         c->tx = c->rx;
+        std::lock_guard<std::mutex> guard(answers_mutex);
+        answers.emplace_back(args[0], c->tx);
         return 0ull;
       },
       GraftIdentity{0, true});
@@ -241,6 +252,7 @@ TEST_F(NetTest, AsyncTrafficFromManyDispatchersNoEventLost) {
 
   constexpr int kDispatchers = 4;
   constexpr int kPerDispatcher = 25;
+  constexpr uint64_t kPackets = uint64_t{kDispatchers} * kPerDispatcher;
   std::vector<std::vector<ConnectionId>> ids(kDispatchers);
   std::vector<std::thread> dispatchers;
   for (int d = 0; d < kDispatchers; ++d) {
@@ -259,18 +271,145 @@ TEST_F(NetTest, AsyncTrafficFromManyDispatchersNoEventLost) {
   }
   stack_.DrainEvents();
 
-  EXPECT_EQ(stack_.stats().packets,
-            static_cast<uint64_t>(kDispatchers) * kPerDispatcher);
+  EXPECT_EQ(stack_.stats().packets, kPackets);
+  std::set<ConnectionId> delivered;
   for (const auto& per_thread : ids) {
-    for (const ConnectionId id : per_thread) {
-      Connection* c = stack_.FindConnection(id);
-      ASSERT_NE(c, nullptr);
-      EXPECT_EQ(c->tx, "ping") << "connection " << id;
-    }
+    delivered.insert(per_thread.begin(), per_thread.end());
   }
-  const auto point_stats = point->stats();
-  EXPECT_EQ(point_stats.handler_runs,
-            static_cast<uint64_t>(kDispatchers) * kPerDispatcher);
+  EXPECT_EQ(delivered.size(), kPackets) << "ids must be unique";
+  std::set<ConnectionId> answered;
+  for (const auto& [id, reply] : answers) {
+    EXPECT_TRUE(answered.insert(id).second) << "connection " << id << " answered twice";
+    EXPECT_EQ(reply, "ping") << "connection " << id;
+  }
+  EXPECT_EQ(answered, delivered) << "every packet answered";
+  EXPECT_EQ(point->stats().handler_runs, kPackets);
+}
+
+TEST_F(NetTest, ConnectionTableStaysBounded) {
+  // Connections are recycled per port: 50k deliveries over 8 ports leave
+  // one live connection per port — the latest, still holding its reply.
+  constexpr int kPorts = 8;
+  constexpr int kDeliveries = 50'000;
+  for (int p = 0; p < kPorts; ++p) {
+    ASSERT_EQ(stack_.ListenTcp(static_cast<uint16_t>(100 + p))->AddHandler(EchoHandler(), 1),
+              Status::kOk);
+  }
+  ConnectionId last[kPorts] = {};
+  std::string last_request[kPorts];
+  for (int i = 0; i < kDeliveries; ++i) {
+    const int p = i % kPorts;
+    std::string request = "req " + std::to_string(i);
+    Result<ConnectionId> conn =
+        stack_.DeliverConnection(static_cast<uint16_t>(100 + p), request);
+    ASSERT_TRUE(conn.ok());
+    last[p] = *conn;
+    last_request[p] = std::move(request);
+  }
+  const NetStack::Stats stats = stack_.stats();
+  EXPECT_EQ(stats.connections, static_cast<uint64_t>(kDeliveries));
+  EXPECT_LE(stats.live_connections, static_cast<uint64_t>(kPorts));
+  for (int p = 0; p < kPorts; ++p) {
+    Connection* c = stack_.FindConnection(last[p]);
+    ASSERT_NE(c, nullptr) << "port " << 100 + p;
+    EXPECT_EQ(c->tx, last_request[p]);
+  }
+}
+
+TEST_F(NetTest, StaleIdReturnsNullAfterSlotReuse) {
+  ASSERT_EQ(stack_.ListenTcp(7)->AddHandler(EchoHandler(), 1), Status::kOk);
+  Result<ConnectionId> first = stack_.DeliverConnection(7, "one");
+  ASSERT_TRUE(first.ok());
+  Connection* recycled = stack_.FindConnection(*first);
+  ASSERT_NE(recycled, nullptr);
+
+  // The next completed delivery on the port reclaims the first connection.
+  ASSERT_TRUE(stack_.DeliverConnection(7, "two").ok());
+  EXPECT_EQ(stack_.FindConnection(*first), nullptr);
+
+  // The third reuses its slot under a new generation: the old id still
+  // resolves to nothing, and the old pointer names the live connection.
+  Result<ConnectionId> third = stack_.DeliverConnection(7, "three");
+  ASSERT_TRUE(third.ok());
+  EXPECT_NE(*third, *first);
+  EXPECT_EQ(stack_.FindConnection(*third), recycled);
+  EXPECT_EQ(stack_.FindConnection(*first), nullptr);
+  EXPECT_EQ(recycled->tx, "three");
+  EXPECT_EQ(stack_.stats().live_connections, 1u);
+}
+
+TEST_F(NetTest, AsyncDeliveryRetiresOnlyAfterHandlersFinish) {
+  // Two pool handlers; the second is held at a gate. The delivery must not
+  // complete (and so must not reclaim the port's previous connection) until
+  // both have finished.
+  std::atomic<bool> open_gate{true};
+  std::atomic<int> gated_started{0};
+  std::atomic<int> quick_runs{0};
+  EventGraftPoint* point = stack_.ListenTcp(8081);
+  auto quick = std::make_shared<Graft>(
+      "quick",
+      [&](std::span<const uint64_t>, MemoryImage*) -> Result<uint64_t> {
+        quick_runs.fetch_add(1);
+        return 0ull;
+      },
+      GraftIdentity{0, true});
+  auto gated = std::make_shared<Graft>(
+      "gated",
+      [&](std::span<const uint64_t> args, MemoryImage*) -> Result<uint64_t> {
+        gated_started.fetch_add(1);
+        while (!open_gate.load()) {
+          std::this_thread::yield();
+        }
+        Connection* c = stack_.FindConnection(args[0]);
+        if (c == nullptr) {
+          return Status::kNotFound;
+        }
+        c->tx = "done";
+        return 0ull;
+      },
+      GraftIdentity{0, true});
+  quick->account().SetLimit(ResourceType::kThreads, 4);
+  gated->account().SetLimit(ResourceType::kThreads, 4);
+  ASSERT_EQ(point->AddHandler(quick, 1), Status::kOk);
+  ASSERT_EQ(point->AddHandler(gated, 2), Status::kOk);
+
+  Result<ConnectionId> before = stack_.DeliverConnectionAsync(8081, "a");
+  ASSERT_TRUE(before.ok());
+  stack_.DrainEvents();
+  ASSERT_NE(stack_.FindConnection(*before), nullptr);
+
+  open_gate.store(false);
+  Result<ConnectionId> held = stack_.DeliverConnectionAsync(8081, "b");
+  ASSERT_TRUE(held.ok());
+  while (gated_started.load() < 2 || quick_runs.load() < 2) {
+    std::this_thread::yield();
+  }
+  // One handler done, one running: the delivery is still in flight.
+  EXPECT_NE(stack_.FindConnection(*before), nullptr);
+  EXPECT_NE(stack_.FindConnection(*held), nullptr);
+  EXPECT_EQ(stack_.stats().live_connections, 2u);
+
+  open_gate.store(true);
+  stack_.DrainEvents();
+  EXPECT_EQ(stack_.FindConnection(*before), nullptr);
+  Connection* c = stack_.FindConnection(*held);
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->tx, "done");
+  EXPECT_EQ(stack_.stats().live_connections, 1u);
+}
+
+TEST_F(NetTest, AsyncPacketWithoutHandlerStillRetires) {
+  EventGraftPoint* point = stack_.ListenUdp(6000);
+  Result<ConnectionId> first = stack_.DeliverPacketAsync(6000, "x");
+  Result<ConnectionId> second = stack_.DeliverPacketAsync(6000, "y");
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  stack_.DrainEvents();
+  EXPECT_EQ(stack_.FindConnection(*first), nullptr);
+  ASSERT_NE(stack_.FindConnection(*second), nullptr);
+  EXPECT_EQ(stack_.FindConnection(*second)->rx, "y");
+  EXPECT_EQ(stack_.stats().live_connections, 1u);
+  EXPECT_EQ(point->stats().events, 2u);
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/log.h"
 #include "src/base/status.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/fuzz_harness.h"
@@ -79,6 +80,9 @@ std::string DefaultSpoolPath(uint64_t seed) {
 int main(int argc, char** argv) {
   using vino::fuzz::FuzzOptions;
   using vino::fuzz::FuzzReport;
+  // Every forged program's rejection and every ejection is expected here;
+  // anomalies are reported on stdout, not through the log.
+  vino::Logger::Instance().SetMinLevel(vino::LogLevel::kError);
 
   std::vector<uint64_t> seeds;
   int programs = -1;
