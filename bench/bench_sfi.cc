@@ -240,13 +240,40 @@ void BM_TierStreamCipher(benchmark::State& state) {
 BENCHMARK(BM_TierStreamCipher)->ArgName("tier")->Arg(0)->Arg(1);
 
 // The largest graft class the graft-churn workload loads: a 3000-instruction
-// RandomProgram, about 4.2k instructions after instrumentation.
-Program R3000Program() {
+// RandomProgram, about 4.2k instructions after instrumentation. Each stage
+// of its load path has a row below: instrument, sign + verify the
+// signature, verify the sandbox, compile for Tier 1.
+Program R3000Source() {
   Rng rng(3000);
   fuzz::GenOptions gen;
   gen.length = 3000;
-  return *Instrument(fuzz::RandomProgram(rng, gen), MisfitOptions{16});
+  return fuzz::RandomProgram(rng, gen);
 }
+
+Program R3000Program() { return *Instrument(R3000Source(), MisfitOptions{16}); }
+
+void BM_Instrument_R3000(benchmark::State& state) {
+  const Program source = R3000Source();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Instrument(source, MisfitOptions{16}));
+  }
+  state.counters["ins"] = static_cast<double>(source.code.size());
+}
+BENCHMARK(BM_Instrument_R3000);
+
+void BM_CompileThreaded_R3000(benchmark::State& state) {
+  Program p = R3000Program();
+  p.verified = VerifySandbox(p).ok();
+  if (!p.verified) {
+    state.SkipWithError("r3000 program failed verification");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CompileThreaded(p));
+  }
+  state.counters["ins"] = static_cast<double>(p.code.size());
+}
+BENCHMARK(BM_CompileThreaded_R3000);
 
 void VerifySandboxOf(benchmark::State& state, const Program& p) {
   for (auto _ : state) {

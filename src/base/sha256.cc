@@ -256,10 +256,13 @@ HmacSha256Key::HmacSha256Key(std::string_view key) {
 }
 
 Sha256Digest HmacSha256Key::Mac(const void* data, size_t len) const {
-  Sha256 inner = inner_;
+  Sha256 inner = Begin();
   inner.Update(data, len);
-  const Sha256Digest inner_digest = inner.Finish();
+  return End(inner);
+}
 
+Sha256Digest HmacSha256Key::End(Sha256 inner) const {
+  const Sha256Digest inner_digest = inner.Finish();
   Sha256 outer = outer_;
   outer.Update(inner_digest.data(), inner_digest.size());
   return outer.Finish();

@@ -63,6 +63,11 @@ class HmacSha256Key {
 
   [[nodiscard]] Sha256Digest Mac(const void* data, size_t len) const;
 
+  // Streaming form of Mac: Update() the context Begin() returns with the
+  // message, in any number of pieces, then pass it to End().
+  [[nodiscard]] Sha256 Begin() const { return inner_; }
+  [[nodiscard]] Sha256Digest End(Sha256 inner) const;
+
  private:
   Sha256 inner_;
   Sha256 outer_;

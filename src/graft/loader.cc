@@ -24,13 +24,7 @@ Result<std::shared_ptr<Graft>> GraftLoader::Load(const SignedGraft& signed_graft
     return Status::kNotInstrumented;
   }
 
-  // 3. Structural verification.
-  const Status verify = VerifyProgram(program);
-  if (!IsOk(verify)) {
-    return verify;
-  }
-
-  // 4. Link-time direct-call check: every direct call target must be on the
+  // 3. Link-time direct-call check: every direct call target must be on the
   //    graft-callable list; otherwise "the graft is not loaded into the
   //    system" (§3.3).
   for (const uint32_t id : program.direct_call_ids) {
@@ -43,18 +37,20 @@ Result<std::shared_ptr<Graft>> GraftLoader::Load(const SignedGraft& signed_graft
     }
   }
 
-  // 5. Sandbox sanity: the instrumented mask must correspond to a real
+  // 4. Sandbox sanity: the instrumented mask must correspond to a real
   //    arena size.
   if (program.sandbox_log2 < 4 || program.sandbox_log2 > 30) {
     return Status::kBadGraft;
   }
 
-  // 6. Load-time sandbox verification. Steps 1-5 trust what the toolchain
+  // 5. Load-time sandbox verification. Steps 1-4 trust what the toolchain
   //    *claims* (signature, manifest, instrumented bit); this step trusts
-  //    only the instruction stream: the abstract interpreter re-proves that
-  //    every reachable call is declared + callable and every reachable
-  //    access is confined to the arena + guard zone. A program that passes
-  //    is marked verified, which is what licenses step 7.
+  //    only the instruction stream. It starts with the structural check
+  //    (VerifyProgram, whose Status it returns on failure), then the
+  //    abstract interpreter re-proves that every reachable call is
+  //    declared + callable and every reachable access is confined to the
+  //    arena + guard zone. A program that passes is marked verified, which
+  //    is what licenses step 6.
   VerifierOptions voptions;
   voptions.host = host_;
   const VerifierReport report = VerifySandbox(program, voptions);
@@ -70,8 +66,8 @@ Result<std::shared_ptr<Graft>> GraftLoader::Load(const SignedGraft& signed_graft
   Program verified_program = program;
   verified_program.verified = true;
 
-  // 7. Pre-decode the verified program for the direct-threaded Tier-1
-  //    engine, whose dropped checks are exactly what step 6 proved. Only a
+  // 6. Pre-decode the verified program for the direct-threaded Tier-1
+  //    engine, whose dropped checks are exactly what step 5 proved. Only a
   //    toolchain without computed goto leaves the artifact null, and the
   //    graft then runs Tier 0 — slower, same results, never a load failure.
   verified_program.compiled = CompileThreaded(verified_program);

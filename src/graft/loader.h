@@ -5,15 +5,15 @@
 //     from the MiSFIT signing authority (Rule 6: "the kernel must not
 //     execute grafts that are not known to be safe");
 //  2. instrumentation — unsigned/uninstrumented programs are refused;
-//  3. structural verification of the code;
-//  4. link-time direct-call checking — every direct kCall id must be on the
+//  3. link-time direct-call checking — every direct kCall id must be on the
 //     graft-callable list (Rules 4 and 7);
-//  5. arena match — the sandbox size the code was instrumented for must
+//  4. arena match — the sandbox size the code was instrumented for must
 //     match the arena the kernel allocates;
-//  6. sandbox verification — an abstract interpreter (src/sfi/verifier.h)
-//     re-proves from the instruction stream alone that the declared call
-//     set covers the code's true calls and that every memory access is
-//     confined, so neither the instrumenter nor the manifest is trusted.
+//  5. sandbox verification — structural verification of the code, then an
+//     abstract interpreter (src/sfi/verifier.h) that re-proves from the
+//     instruction stream alone that the declared call set covers the
+//     code's true calls and that every memory access is confined, so
+//     neither the instrumenter nor the manifest is trusted.
 //     Grafts that pass are compiled for the Tier-1 engine
 //     (src/sfi/threaded_vm.h), which drops the checks the proof covers.
 //

@@ -5,112 +5,68 @@
 namespace vino {
 namespace {
 
-struct OpInfo {
-  std::string_view name;
-  bool reads_rs1;
-  bool reads_rs2;
-  bool writes_rd;
-};
-
-constexpr std::array<OpInfo, static_cast<size_t>(Op::kOpCount)> kOpInfo = {{
-    /* kNop          */ {"nop", false, false, false},
-    /* kHalt         */ {"halt", false, false, false},
-    /* kLoadImm      */ {"loadi", false, false, true},
-    /* kMov          */ {"mov", true, false, true},
-    /* kAdd          */ {"add", true, true, true},
-    /* kSub          */ {"sub", true, true, true},
-    /* kMul          */ {"mul", true, true, true},
-    /* kDivU         */ {"divu", true, true, true},
-    /* kRemU         */ {"remu", true, true, true},
-    /* kAnd          */ {"and", true, true, true},
-    /* kOr           */ {"or", true, true, true},
-    /* kXor          */ {"xor", true, true, true},
-    /* kShl          */ {"shl", true, true, true},
-    /* kShr          */ {"shr", true, true, true},
-    /* kSar          */ {"sar", true, true, true},
-    /* kAddI         */ {"addi", true, false, true},
-    /* kMulI         */ {"muli", true, false, true},
-    /* kAndI         */ {"andi", true, false, true},
-    /* kOrI          */ {"ori", true, false, true},
-    /* kXorI         */ {"xori", true, false, true},
-    /* kShlI         */ {"shli", true, false, true},
-    /* kShrI         */ {"shri", true, false, true},
-    /* kLd8          */ {"ld8", true, false, true},
-    /* kLd16         */ {"ld16", true, false, true},
-    /* kLd32         */ {"ld32", true, false, true},
-    /* kLd64         */ {"ld64", true, false, true},
-    /* kSt8          */ {"st8", true, true, false},
-    /* kSt16         */ {"st16", true, true, false},
-    /* kSt32         */ {"st32", true, true, false},
-    /* kSt64         */ {"st64", true, true, false},
-    /* kJmp          */ {"jmp", false, false, false},
-    /* kBeq          */ {"beq", true, true, false},
-    /* kBne          */ {"bne", true, true, false},
-    /* kBltU         */ {"bltu", true, true, false},
-    /* kBgeU         */ {"bgeu", true, true, false},
-    /* kBltS         */ {"blts", true, true, false},
-    /* kBgeS         */ {"bges", true, true, false},
-    /* kCall         */ {"call", false, false, true},
-    /* kCallR        */ {"callr", true, false, true},
-    /* kSandboxAddr  */ {"sandbox", true, false, true},
-    /* kCheckedCallR */ {"ccallr", true, false, true},
+constexpr std::array<std::string_view, static_cast<size_t>(Op::kOpCount)>
+    kOpNames = {{
+    /* kNop          */ "nop",
+    /* kHalt         */ "halt",
+    /* kLoadImm      */ "loadi",
+    /* kMov          */ "mov",
+    /* kAdd          */ "add",
+    /* kSub          */ "sub",
+    /* kMul          */ "mul",
+    /* kDivU         */ "divu",
+    /* kRemU         */ "remu",
+    /* kAnd          */ "and",
+    /* kOr           */ "or",
+    /* kXor          */ "xor",
+    /* kShl          */ "shl",
+    /* kShr          */ "shr",
+    /* kSar          */ "sar",
+    /* kAddI         */ "addi",
+    /* kMulI         */ "muli",
+    /* kAndI         */ "andi",
+    /* kOrI          */ "ori",
+    /* kXorI         */ "xori",
+    /* kShlI         */ "shli",
+    /* kShrI         */ "shri",
+    /* kLd8          */ "ld8",
+    /* kLd16         */ "ld16",
+    /* kLd32         */ "ld32",
+    /* kLd64         */ "ld64",
+    /* kSt8          */ "st8",
+    /* kSt16         */ "st16",
+    /* kSt32         */ "st32",
+    /* kSt64         */ "st64",
+    /* kJmp          */ "jmp",
+    /* kBeq          */ "beq",
+    /* kBne          */ "bne",
+    /* kBltU         */ "bltu",
+    /* kBgeU         */ "bgeu",
+    /* kBltS         */ "blts",
+    /* kBgeS         */ "bges",
+    /* kCall         */ "call",
+    /* kCallR        */ "callr",
+    /* kSandboxAddr  */ "sandbox",
+    /* kCheckedCallR */ "ccallr",
 }};
 
 }  // namespace
 
 std::string_view OpName(Op op) {
   const auto i = static_cast<size_t>(op);
-  if (i >= kOpInfo.size()) {
+  if (i >= kOpNames.size()) {
     return "?";
   }
-  return kOpInfo[i].name;
+  return kOpNames[i];
 }
 
 Op OpFromName(std::string_view name) {
-  for (size_t i = 0; i < kOpInfo.size(); ++i) {
-    if (kOpInfo[i].name == name) {
+  for (size_t i = 0; i < kOpNames.size(); ++i) {
+    if (kOpNames[i] == name) {
       return static_cast<Op>(i);
     }
   }
   return Op::kOpCount;
-}
-
-bool IsLoad(Op op) {
-  return op == Op::kLd8 || op == Op::kLd16 || op == Op::kLd32 || op == Op::kLd64;
-}
-
-bool IsStore(Op op) {
-  return op == Op::kSt8 || op == Op::kSt16 || op == Op::kSt32 || op == Op::kSt64;
-}
-
-bool IsBranch(Op op) {
-  switch (op) {
-    case Op::kJmp:
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBltU:
-    case Op::kBgeU:
-    case Op::kBltS:
-    case Op::kBgeS:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool ReadsRs1(Op op) {
-  const auto i = static_cast<size_t>(op);
-  return i < kOpInfo.size() && kOpInfo[i].reads_rs1;
-}
-
-bool ReadsRs2(Op op) {
-  const auto i = static_cast<size_t>(op);
-  return i < kOpInfo.size() && kOpInfo[i].reads_rs2;
-}
-
-bool WritesRd(Op op) {
-  const auto i = static_cast<size_t>(op);
-  return i < kOpInfo.size() && kOpInfo[i].writes_rd;
 }
 
 }  // namespace vino

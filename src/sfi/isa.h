@@ -21,6 +21,8 @@
 #ifndef VINOLITE_SRC_SFI_ISA_H_
 #define VINOLITE_SRC_SFI_ISA_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -131,18 +133,92 @@ struct Instruction {
 // Reverse lookup for the text assembler. Returns kOpCount if unknown.
 [[nodiscard]] Op OpFromName(std::string_view name);
 
-// Instruction classification helpers used by the verifier and instrumenter.
-[[nodiscard]] bool IsLoad(Op op);
-[[nodiscard]] bool IsStore(Op op);
-[[nodiscard]] bool IsBranch(Op op);   // Conditional branches and kJmp.
-[[nodiscard]] bool ReadsRs1(Op op);
-[[nodiscard]] bool ReadsRs2(Op op);
-[[nodiscard]] bool WritesRd(Op op);
+// Per-opcode class bits: one table read answers every classification
+// question the toolchain, verifier, loader and compilers ask of an opcode.
+enum OpClassBit : uint8_t {
+  kOpReadsRs1 = 1 << 0,
+  kOpReadsRs2 = 1 << 1,
+  kOpWritesRd = 1 << 2,
+  kOpLoad = 1 << 3,
+  kOpStore = 1 << 4,
+  kOpBranch = 1 << 5,  // Conditional branches and kJmp.
+  kOpCall = 1 << 6,    // kCall, kCallR, kCheckedCallR.
+};
 
-// kCall, kCallR, kCheckedCallR. Inline: used on the Vm dispatch path.
-[[nodiscard]] constexpr bool IsCall(Op op) {
-  return op == Op::kCall || op == Op::kCallR || op == Op::kCheckedCallR;
+// Indexed by the opcode's byte value. Entries past kOpCount are zero, so an
+// undefined opcode (a hand-built or not yet validated instruction)
+// classifies as nothing without a bounds check.
+inline constexpr std::array<uint8_t, 256> kOpClass = [] {
+  constexpr uint8_t r1 = kOpReadsRs1;
+  constexpr uint8_t r2 = kOpReadsRs2;
+  constexpr uint8_t rd = kOpWritesRd;
+  constexpr uint8_t alu_rr = r1 | r2 | rd;
+  constexpr uint8_t alu_ri = r1 | rd;
+  constexpr uint8_t load = kOpLoad | r1 | rd;
+  constexpr uint8_t store = kOpStore | r1 | r2;
+  constexpr uint8_t cond = kOpBranch | r1 | r2;
+  constexpr uint8_t rows[] = {
+      /* kNop          */ 0,
+      /* kHalt         */ 0,
+      /* kLoadImm      */ rd,
+      /* kMov          */ r1 | rd,
+      /* kAdd..kSar    */ alu_rr, alu_rr, alu_rr, alu_rr, alu_rr, alu_rr,
+      alu_rr, alu_rr, alu_rr, alu_rr, alu_rr,
+      /* kAddI..kShrI  */ alu_ri, alu_ri, alu_ri, alu_ri, alu_ri, alu_ri,
+      alu_ri,
+      /* kLd8..kLd64   */ load, load, load, load,
+      /* kSt8..kSt64   */ store, store, store, store,
+      /* kJmp          */ kOpBranch,
+      /* kBeq..kBgeS   */ cond, cond, cond, cond, cond, cond,
+      /* kCall         */ kOpCall | rd,
+      /* kCallR        */ kOpCall | r1 | rd,
+      /* kSandboxAddr  */ r1 | rd,
+      /* kCheckedCallR */ kOpCall | r1 | rd,
+  };
+  static_assert(sizeof(rows) == static_cast<size_t>(Op::kOpCount),
+                "one row per opcode");
+  std::array<uint8_t, 256> table{};
+  for (size_t i = 0; i < sizeof(rows); ++i) {
+    table[i] = rows[i];
+  }
+  return table;
+}();
+
+[[nodiscard]] constexpr uint8_t OpClassOf(Op op) {
+  return kOpClass[static_cast<uint8_t>(op)];
 }
+[[nodiscard]] constexpr bool IsLoad(Op op) {
+  return (OpClassOf(op) & kOpLoad) != 0;
+}
+[[nodiscard]] constexpr bool IsStore(Op op) {
+  return (OpClassOf(op) & kOpStore) != 0;
+}
+[[nodiscard]] constexpr bool IsBranch(Op op) {
+  return (OpClassOf(op) & kOpBranch) != 0;
+}
+[[nodiscard]] constexpr bool IsCall(Op op) {
+  return (OpClassOf(op) & kOpCall) != 0;
+}
+[[nodiscard]] constexpr bool ReadsRs1(Op op) {
+  return (OpClassOf(op) & kOpReadsRs1) != 0;
+}
+[[nodiscard]] constexpr bool ReadsRs2(Op op) {
+  return (OpClassOf(op) & kOpReadsRs2) != 0;
+}
+[[nodiscard]] constexpr bool WritesRd(Op op) {
+  return (OpClassOf(op) & kOpWritesRd) != 0;
+}
+
+// Spot checks that the rows above line up with the enum.
+static_assert(ReadsRs1(Op::kMov) && WritesRd(Op::kMov) && !ReadsRs2(Op::kMov));
+static_assert(IsLoad(Op::kLd64) && !IsStore(Op::kLd64) && WritesRd(Op::kLd64));
+static_assert(IsStore(Op::kSt8) && ReadsRs2(Op::kSt8) && !WritesRd(Op::kSt8));
+static_assert(IsBranch(Op::kJmp) && !ReadsRs1(Op::kJmp));
+static_assert(IsBranch(Op::kBgeS) && ReadsRs2(Op::kBgeS) && !IsCall(Op::kBgeS));
+static_assert(IsCall(Op::kCall) && !ReadsRs1(Op::kCall));
+static_assert(IsCall(Op::kCheckedCallR) && ReadsRs1(Op::kCheckedCallR));
+static_assert(!IsCall(Op::kSandboxAddr) && WritesRd(Op::kSandboxAddr));
+static_assert(OpClassOf(Op::kOpCount) == 0);
 
 // Width in bytes of a load/store opcode; 0 for non-memory opcodes.
 // Inline: called once per interpreted memory access.

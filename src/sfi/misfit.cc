@@ -33,14 +33,26 @@ Result<Program> Instrument(const Program& source, const MisfitOptions& options) 
     return verify;
   }
 
+  // One pass over the source refuses reserved-register use, counts
+  // accesses (each emits at most one kSandboxAddr, which bounds the
+  // output's length) and marks branch targets: a redundant-mask fact only
+  // holds along straight-line code, so it dies at every instruction control
+  // can enter sideways. Targets are source indices (branches are remapped
+  // later). Hand-forged instrumentation opcodes never get here:
+  // VerifyProgram refuses them in a program not marked instrumented.
+  std::vector<uint8_t> is_target(source.code.size(), 0);
+  size_t accesses = 0;
   for (const Instruction& ins : source.code) {
-    if (ins.op == Op::kSandboxAddr || ins.op == Op::kCheckedCallR) {
-      return Status::kSfiBadOpcode;  // Hand-forged instrumentation.
+    if (IsLoad(ins.op) || IsStore(ins.op)) {
+      ++accesses;
     }
     if (TouchesReservedRegister(ins)) {
       VINO_LOG_WARN << "misfit: program '" << source.name
                     << "' uses reserved registers; rejected";
       return Status::kSfiBadOpcode;
+    }
+    if (IsBranch(ins.op)) {
+      is_target[static_cast<size_t>(ins.imm)] = 1;
     }
   }
 
@@ -49,17 +61,7 @@ Result<Program> Instrument(const Program& source, const MisfitOptions& options) 
   out.instrumented = true;
   out.sandbox_log2 = options.arena_log2;
   out.direct_call_ids = source.direct_call_ids;
-  out.code.reserve(source.code.size() * 2);
-
-  // Mark branch targets: a redundant-mask fact only holds along
-  // straight-line code, so it dies at every instruction control can enter
-  // sideways. Targets are source indices (branches are remapped later).
-  std::vector<uint8_t> is_target(source.code.size(), 0);
-  for (const Instruction& ins : source.code) {
-    if (IsBranch(ins.op)) {
-      is_target[static_cast<size_t>(ins.imm)] = 1;
-    }
-  }
+  out.code.reserve(source.code.size() + accesses);
 
   // The one dataflow fact the elision pass tracks: the sandbox address
   // register currently holds sandbox(base_reg + imm), i.e. the result of
@@ -121,11 +123,6 @@ Result<Program> Instrument(const Program& source, const MisfitOptions& options) 
     if (IsBranch(ins.op)) {
       ins.imm = new_index[static_cast<size_t>(ins.imm)];
     }
-  }
-
-  const Status post = VerifyProgram(out);
-  if (!IsOk(post)) {
-    return post;  // Should be unreachable; defensive.
   }
   return out;
 }

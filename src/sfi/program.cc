@@ -23,11 +23,87 @@ uint8_t* PutLe(uint8_t* out, T v) {
   return out + sizeof(v);
 }
 
-uint8_t* PutU32(uint8_t* out, uint32_t v) { return PutLe(out, v); }
+// One encoded instruction: op/rd/rs1/rs2 plus the little-endian imm.
+constexpr size_t kInstructionBytes = 12;
+
+void PutInstruction(uint8_t* out, const Instruction& ins) {
+  const uint8_t head[4] = {static_cast<uint8_t>(ins.op), ins.rd, ins.rs1,
+                           ins.rs2};
+  std::memcpy(out, head, sizeof(head));
+  PutLe(out + sizeof(head), static_cast<uint64_t>(ins.imm));
+}
+
+// Writes through a fixed buffer and flushes it only when it is full (and
+// once at the end), so a hash consuming the flushes sees whole blocks
+// whenever the buffer size is a multiple of the block size.
+class ChunkWriter {
+ public:
+  ChunkWriter(std::span<uint8_t> buf, EncodeFlushFn flush, void* ctx)
+      : begin_(buf.data()),
+        end_(buf.data() + buf.size()),
+        pos_(begin_),
+        flush_(flush),
+        ctx_(ctx) {}
+
+  void PutU32(uint32_t v) {
+    uint8_t le[4];
+    PutLe(le, v);
+    PutBytes(le, sizeof(le));
+  }
+
+  void PutBytes(const void* data, size_t n) {
+    const auto* p = static_cast<const uint8_t*>(data);
+    while (n > 0) {
+      if (pos_ == end_) {
+        Flush();
+      }
+      const size_t take = std::min(n, static_cast<size_t>(end_ - pos_));
+      std::memcpy(pos_, p, take);
+      pos_ += take;
+      p += take;
+      n -= take;
+    }
+  }
+
+  // Whole records straight into the buffer while they fit; a record that
+  // straddles the end goes through PutBytes.
+  void PutInstructions(std::span<const Instruction> code) {
+    const Instruction* ins = code.data();
+    const Instruction* const last = ins + code.size();
+    while (ins != last) {
+      const size_t fit = std::min(
+          static_cast<size_t>(end_ - pos_) / kInstructionBytes,
+          static_cast<size_t>(last - ins));
+      for (const Instruction* stop = ins + fit; ins != stop; ++ins) {
+        PutInstruction(pos_, *ins);
+        pos_ += kInstructionBytes;
+      }
+      if (ins != last) {
+        uint8_t record[kInstructionBytes];
+        PutInstruction(record, *ins++);
+        PutBytes(record, sizeof(record));
+      }
+    }
+  }
+
+  void Flush() {
+    if (pos_ != begin_) {
+      flush_(ctx_, begin_, static_cast<size_t>(pos_ - begin_));
+    }
+    pos_ = begin_;
+  }
+
+ private:
+  uint8_t* const begin_;
+  uint8_t* const end_;
+  uint8_t* pos_;
+  const EncodeFlushFn flush_;
+  void* const ctx_;
+};
 
 class Reader {
  public:
-  explicit Reader(const std::vector<uint8_t>& bytes) : bytes_(bytes) {}
+  explicit Reader(std::span<const uint8_t> bytes) : bytes_(bytes) {}
 
   bool GetU32(uint32_t* v) {
     if (pos_ + 4 > bytes_.size()) {
@@ -69,7 +145,7 @@ class Reader {
   [[nodiscard]] size_t Remaining() const { return bytes_.size() - pos_; }
 
  private:
-  const std::vector<uint8_t>& bytes_;
+  std::span<const uint8_t> bytes_;
   size_t pos_ = 0;
 };
 
@@ -106,38 +182,42 @@ Status VerifyProgram(const Program& program) {
   return Status::kOk;
 }
 
-std::vector<uint8_t> EncodeProgram(const Program& program) {
-  // Seven u32 header fields, the name, the call ids, 12 bytes per
-  // instruction: sized exactly, then filled front to back in one pass.
-  std::vector<uint8_t> bytes(7 * 4 + program.name.size() +
-                             4 * program.direct_call_ids.size() +
-                             12 * program.code.size());
-  uint8_t* out = bytes.data();
+size_t EncodedProgramSize(const Program& program) {
+  // Seven u32 header fields, the name, the call ids, the instructions.
+  return 7 * 4 + program.name.size() + 4 * program.direct_call_ids.size() +
+         kInstructionBytes * program.code.size();
+}
 
-  out = PutU32(out, kMagic);
-  out = PutU32(out, kVersion);
-  out = PutU32(out, program.instrumented ? 1u : 0u);
-  out = PutU32(out, program.sandbox_log2);
+void EncodeProgramChunks(const Program& program, std::span<uint8_t> buf,
+                         EncodeFlushFn flush, void* ctx) {
+  ChunkWriter out(buf, flush, ctx);
+  out.PutU32(kMagic);
+  out.PutU32(kVersion);
+  out.PutU32(program.instrumented ? 1u : 0u);
+  out.PutU32(program.sandbox_log2);
 
-  out = PutU32(out, static_cast<uint32_t>(program.name.size()));
-  out = std::copy(program.name.begin(), program.name.end(), out);
+  out.PutU32(static_cast<uint32_t>(program.name.size()));
+  out.PutBytes(program.name.data(), program.name.size());
 
-  out = PutU32(out, static_cast<uint32_t>(program.direct_call_ids.size()));
+  out.PutU32(static_cast<uint32_t>(program.direct_call_ids.size()));
   for (const uint32_t id : program.direct_call_ids) {
-    out = PutU32(out, id);
+    out.PutU32(id);
   }
 
-  out = PutU32(out, static_cast<uint32_t>(program.code.size()));
-  for (const Instruction& ins : program.code) {
-    const uint8_t head[4] = {static_cast<uint8_t>(ins.op), ins.rd, ins.rs1,
-                             ins.rs2};
-    std::memcpy(out, head, sizeof(head));
-    out = PutLe(out + sizeof(head), static_cast<uint64_t>(ins.imm));
-  }
+  out.PutU32(static_cast<uint32_t>(program.code.size()));
+  out.PutInstructions(program.code);
+  out.Flush();
+}
+
+std::vector<uint8_t> EncodeProgram(const Program& program) {
+  // Sized exactly, so the writer fills it in place and never flushes early.
+  std::vector<uint8_t> bytes(EncodedProgramSize(program));
+  EncodeProgramChunks(program, bytes, [](void*, const uint8_t*, size_t) {},
+                      nullptr);
   return bytes;
 }
 
-Result<Program> DecodeProgram(const std::vector<uint8_t>& bytes) {
+Result<Program> DecodeProgram(std::span<const uint8_t> bytes) {
   Reader r(bytes);
   uint32_t magic = 0;
   uint32_t version = 0;

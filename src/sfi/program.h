@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,8 +65,21 @@ struct Program {
 // Deterministic byte serialization; the unit the code-signing scheme signs.
 [[nodiscard]] std::vector<uint8_t> EncodeProgram(const Program& program);
 
+// Length of EncodeProgram(program), without encoding it.
+[[nodiscard]] size_t EncodedProgramSize(const Program& program);
+
+// The one writer of the encoding, for consumers that stream it instead of
+// holding it (the signing HMAC). Fills `buf` front to back and hands it to
+// `flush(ctx, data, len)` each time it is full, then the remainder once at
+// the end; fields may straddle two flushes. `buf` must not be empty.
+// EncodeProgram passes one sized to the whole encoding, so its bytes are
+// written in place and flushed once.
+using EncodeFlushFn = void (*)(void* ctx, const uint8_t* data, size_t len);
+void EncodeProgramChunks(const Program& program, std::span<uint8_t> buf,
+                         EncodeFlushFn flush, void* ctx);
+
 // Inverse of EncodeProgram. Fails with kBadGraft on malformed input.
-[[nodiscard]] Result<Program> DecodeProgram(const std::vector<uint8_t>& bytes);
+[[nodiscard]] Result<Program> DecodeProgram(std::span<const uint8_t> bytes);
 
 // Counts instructions by class; used by tests and the SFI overhead report.
 struct ProgramProfile {

@@ -1,6 +1,7 @@
 #include "src/sfi/signing.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 namespace vino {
@@ -12,13 +13,15 @@ constexpr uint8_t kGraftVersion = 1;
 }  // namespace
 
 std::vector<uint8_t> SerializeSignedGraft(const SignedGraft& graft) {
-  const std::vector<uint8_t> program_bytes = EncodeProgram(graft.program);
-  std::vector<uint8_t> out;
-  out.reserve(5 + graft.signature.size() + program_bytes.size());
-  out.insert(out.end(), std::begin(kGraftMagic), std::end(kGraftMagic));
-  out.push_back(kGraftVersion);
-  out.insert(out.end(), graft.signature.begin(), graft.signature.end());
-  out.insert(out.end(), program_bytes.begin(), program_bytes.end());
+  constexpr size_t kHeader = sizeof(kGraftMagic) + 1;
+  std::vector<uint8_t> out(kHeader + graft.signature.size() +
+                           EncodedProgramSize(graft.program));
+  auto at = std::copy(std::begin(kGraftMagic), std::end(kGraftMagic),
+                      out.begin());
+  *at++ = kGraftVersion;
+  at = std::copy(graft.signature.begin(), graft.signature.end(), at);
+  EncodeProgramChunks(graft.program, std::span<uint8_t>(at, out.end()),
+                      [](void*, const uint8_t*, size_t) {}, nullptr);
   return out;
 }
 
@@ -32,12 +35,27 @@ Result<SignedGraft> DeserializeSignedGraft(const std::vector<uint8_t>& bytes) {
   SignedGraft out;
   std::copy(bytes.begin() + 5, bytes.begin() + 5 + 32, out.signature.begin());
   Result<Program> program =
-      DecodeProgram(std::vector<uint8_t>(bytes.begin() + kHeader, bytes.end()));
+      DecodeProgram(std::span<const uint8_t>(bytes).subspan(kHeader));
   if (!program.ok()) {
     return program.status();
   }
   out.program = std::move(*program);
   return out;
+}
+
+Sha256Digest SigningAuthority::Digest(const Program& program) const {
+  Sha256 inner = key_.Begin();
+  // A multiple of the 64-byte SHA-256 block, and the key's pad block leaves
+  // the context block-aligned, so every full flush hashes straight from
+  // the buffer.
+  uint8_t buf[64 * 64];
+  EncodeProgramChunks(
+      program, buf,
+      [](void* ctx, const uint8_t* data, size_t len) {
+        static_cast<Sha256*>(ctx)->Update(data, len);
+      },
+      &inner);
+  return key_.End(inner);
 }
 
 Result<SignedGraft> SigningAuthority::Sign(Program program) const {
@@ -48,9 +66,8 @@ Result<SignedGraft> SigningAuthority::Sign(Program program) const {
   if (!IsOk(verify)) {
     return verify;
   }
-  const std::vector<uint8_t> bytes = EncodeProgram(program);
   SignedGraft out;
-  out.signature = key_.Mac(bytes.data(), bytes.size());
+  out.signature = Digest(program);
   out.program = std::move(program);
   return out;
 }
@@ -64,8 +81,7 @@ bool SigningAuthority::Verify(const SignedGraft& graft) const {
   if (!graft.program.instrumented) {
     return false;
   }
-  const std::vector<uint8_t> bytes = EncodeProgram(graft.program);
-  const Sha256Digest expected = key_.Mac(bytes.data(), bytes.size());
+  const Sha256Digest expected = Digest(graft.program);
   // Constant-time comparison; not strictly needed in-process but cheap.
   uint8_t diff = 0;
   for (size_t i = 0; i < expected.size(); ++i) {

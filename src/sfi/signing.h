@@ -51,6 +51,10 @@ class SigningAuthority {
   [[nodiscard]] bool Verify(const SignedGraft& graft) const;
 
  private:
+  // HMAC of the program's encoding, streamed through a fixed stack buffer:
+  // the encoding is never materialized.
+  [[nodiscard]] Sha256Digest Digest(const Program& program) const;
+
   HmacSha256Key key_;
 };
 

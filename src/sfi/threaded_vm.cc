@@ -450,22 +450,22 @@ const void* const* HandlerTable() {
   return table;
 }
 
-// Per-opcode class bits for the compile loops: one table load classifies
-// an opcode.
-enum OpClass : uint8_t {
+// Per-opcode class bits for the compile loops, derived from isa.h's
+// kOpClass: one table load classifies an opcode.
+enum CompileClass : uint8_t {
   kEndsBlock = 1,  // Branch, call or halt: the next instruction leads.
   kIsBranch = 2,
   kIsAccess = 4,
   kIsLoad = 8,
   kIsSandbox = 16,
 };
-constexpr std::array<uint8_t, kNumOps> kOpClass = [] {
+constexpr std::array<uint8_t, kNumOps> kCompileClass = [] {
   std::array<uint8_t, kNumOps> table{};
   for (size_t i = 0; i < kNumOps; ++i) {
     const auto op = static_cast<Op>(i);
-    const bool branch = op >= Op::kJmp && op <= Op::kBgeS;
-    const bool load = op >= Op::kLd8 && op <= Op::kLd64;
-    const bool store = op >= Op::kSt8 && op <= Op::kSt64;
+    const bool branch = IsBranch(op);
+    const bool load = IsLoad(op);
+    const bool store = IsStore(op);
     table[i] = static_cast<uint8_t>(
         (branch || IsCall(op) || op == Op::kHalt ? kEndsBlock : 0) |
         (branch ? kIsBranch : 0) | (load || store ? kIsAccess : 0) |
@@ -596,7 +596,7 @@ std::shared_ptr<const CompiledProgram> CompileThreaded(const Program& program) {
         (ins.rd | ins.rs1 | ins.rs2) >= kNumRegisters) {
       return nullptr;
     }
-    const uint8_t cls = kOpClass[static_cast<size_t>(ins.op)];
+    const uint8_t cls = kCompileClass[static_cast<size_t>(ins.op)];
     if ((cls & kIsBranch) != 0) {
       if (ins.imm < 0 || static_cast<size_t>(ins.imm) >= size) {
         return nullptr;
@@ -678,7 +678,7 @@ std::shared_ptr<const CompiledProgram> CompileThreaded(const Program& program) {
     }
     const Instruction& ins = code[pc];
     const size_t opcode = static_cast<size_t>(ins.op);
-    if (__builtin_expect((kOpClass[opcode] & kIsBranch) != 0, 0)) {
+    if (__builtin_expect((kCompileClass[opcode] & kIsBranch) != 0, 0)) {
       emit_branch(pc, fast);
       continue;
     }
@@ -686,9 +686,9 @@ std::shared_ptr<const CompiledProgram> CompileThreaded(const Program& program) {
     StoreOp(ops + pc, labels[kCheckedBase + opcode], operands, ins.imm);
     // The last instruction is a kHalt or kJmp, so a kSandboxAddr always
     // has a successor.
-    if ((kOpClass[opcode] & kIsSandbox) != 0 && !leaders.Test(pc + 1)) {
+    if ((kCompileClass[opcode] & kIsSandbox) != 0 && !leaders.Test(pc + 1)) {
       const Instruction& access = code[pc + 1];
-      const uint8_t access_cls = kOpClass[static_cast<size_t>(access.op)];
+      const uint8_t access_cls = kCompileClass[static_cast<size_t>(access.op)];
       if ((access_cls & kIsAccess) != 0 && access.rs1 == ins.rd &&
           access.imm == int64_t{static_cast<int32_t>(access.imm)}) {
         // rt: the access's rd for a load, its rs2 for a store.

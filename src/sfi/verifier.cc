@@ -164,6 +164,13 @@ Blocks FindBlocks(const std::vector<Instruction>& code) {
   return blocks;
 }
 
+// What one run of a block adds to the report.
+struct BlockCounts {
+  uint32_t dynamic_calls = 0;  // kCheckedCallR sites with a non-const target.
+  uint32_t loads = 0;
+  uint32_t stores = 0;
+};
+
 // A worklist analysis over basic blocks. Facts live only at block leaders:
 // a popped block runs on one live State, transferred in place, and only its
 // exit joins into successor leaders. Blocks are popped LIFO and a branch
@@ -180,7 +187,7 @@ class Analyzer {
     visits_.assign(nblocks, 0);
     in_work_.assign(nblocks, 0);
     reached_.assign(nblocks, 0);
-    dynamic_calls_.assign(nblocks, 0);
+    counts_.assign(nblocks, BlockCounts{});
     declared_.assign(program_.direct_call_ids.begin(),
                      program_.direct_call_ids.end());
     std::sort(declared_.begin(), declared_.end());
@@ -304,19 +311,20 @@ class Analyzer {
   }
 
   // Runs block b from its leader's in-state, then flows its exit state to
-  // its successors. The block's dynamic kCheckedCallR count is overwritten
-  // on every run, so at the fixpoint it reflects the final in-state.
+  // its successors. The block's counts are overwritten on every run, so at
+  // the fixpoint the dynamic kCheckedCallR count reflects the final
+  // in-state.
   void RunBlock(uint32_t b) {
     State s = in_[b];
-    uint32_t dynamic_calls = 0;
+    BlockCounts counts;
     const uint32_t end = blocks_.end(b);
     for (uint32_t pc = blocks_.start[b]; pc < end; ++pc) {
-      if (!Transfer(pc, s, &dynamic_calls)) {
+      if (!Transfer(pc, s, &counts)) {
         return;
       }
     }
     reached_[b] = 1;
-    dynamic_calls_[b] = dynamic_calls;
+    counts_[b] = counts;
 
     // Successors. VerifyProgram already proved branch targets in range and
     // that the final instruction is kHalt or kJmp, so fallthrough from any
@@ -337,7 +345,7 @@ class Analyzer {
 
   // Applies instruction pc to `s` in place. Returns false (with report_
   // failed) if the instruction is unsafe in state `s`.
-  bool Transfer(uint32_t pc, State& s, uint32_t* dynamic_calls) {
+  bool Transfer(uint32_t pc, State& s, BlockCounts* counts) {
     const Instruction& ins = program_.code[pc];
 
     // The sandbox registers are sacred: the mask/base the Vm loads from
@@ -435,6 +443,7 @@ class Analyzer {
         if (!report_.ok()) {
           return false;
         }
+        ++counts->loads;
         s.regs[ins.rd] = Top();
         break;
       case Op::kSt8:
@@ -445,6 +454,7 @@ class Analyzer {
         if (!report_.ok()) {
           return false;
         }
+        ++counts->stores;
         break;
 
       case Op::kJmp:
@@ -465,7 +475,7 @@ class Analyzer {
         }
         if (ins.op == Op::kCheckedCallR &&
             s.regs[ins.rs1].kind != Kind::kConst) {
-          ++*dynamic_calls;
+          ++counts->dynamic_calls;
         }
         s.regs[0] = Top();  // Host functions write r0 only.
         break;
@@ -483,15 +493,9 @@ class Analyzer {
         continue;
       }
       report_.instructions_reached += blocks_.end(b) - blocks_.start[b];
-      report_.dynamic_indirect_calls += dynamic_calls_[b];
-      for (uint32_t pc = blocks_.start[b]; pc < blocks_.end(b); ++pc) {
-        const Op op = program_.code[pc].op;
-        if (IsLoad(op)) {
-          ++report_.loads_proven;
-        } else if (IsStore(op)) {
-          ++report_.stores_proven;
-        }
-      }
+      report_.dynamic_indirect_calls += counts_[b].dynamic_calls;
+      report_.loads_proven += counts_[b].loads;
+      report_.stores_proven += counts_[b].stores;
     }
   }
 
@@ -505,7 +509,7 @@ class Analyzer {
   std::vector<uint32_t> visits_;
   std::vector<uint8_t> in_work_;
   std::vector<uint8_t> reached_;
-  std::vector<uint32_t> dynamic_calls_;
+  std::vector<BlockCounts> counts_;
 
   std::vector<uint32_t> work_;
   std::vector<uint32_t> declared_;
@@ -517,15 +521,17 @@ VerifierReport VerifySandbox(const Program& program,
                              const VerifierOptions& options) {
   VerifierReport report;
 
-  if (program.code.size() > options.max_instructions) {
-    report.status = Status::kVerifyFailed;
-    report.reason = "program exceeds the verifier's instruction limit";
-    return report;
-  }
+  // The structural check comes first: it is linear and allocation-free,
+  // and the loader relies on this function to return its Status.
   const Status structural = VerifyProgram(program);
   if (!IsOk(structural)) {
     report.status = structural;
     report.reason = "structural verification failed";
+    return report;
+  }
+  if (program.code.size() > options.max_instructions) {
+    report.status = Status::kVerifyFailed;
+    report.reason = "program exceeds the verifier's instruction limit";
     return report;
   }
   if (!program.instrumented) {

@@ -22,6 +22,7 @@
 #include "src/net/net_stack.h"
 #include "src/sfi/assembler.h"
 #include "src/sfi/misfit.h"
+#include "src/sfi/signing.h"
 #include "src/sfi/threaded_vm.h"
 #include "src/sfi/verifier.h"
 #include "src/txn/accessor.h"
@@ -243,6 +244,34 @@ TEST_F(AllocTest, SteadyStateNullProgramGraftSafePathIsAllocationFree) {
   }
   EXPECT_EQ(AllocCount() - before, 0u);
   EXPECT_TRUE(point.grafted()) << "graft must not have been removed";
+}
+
+TEST_F(AllocTest, SignatureCheckIsAllocationFree) {
+  // The signature is an HMAC streamed over the program's encoding through a
+  // fixed stack buffer: neither the loader's check nor the digest half of
+  // Sign materializes the 12-bytes-per-instruction encoding. 600
+  // instructions encode to over 7 KB, so the stream flushes mid-program.
+  Asm a("signed");
+  for (int i = 0; i < 600; ++i) {
+    a.AddI(R1, R1, i);
+  }
+  a.Halt();
+  Result<Program> inst = Instrument(*a.Finish());
+  ASSERT_TRUE(inst.ok());
+  const SigningAuthority authority("alloc-test-key");
+  const Result<SignedGraft> signed_graft = authority.Sign(*inst);
+  ASSERT_TRUE(signed_graft.ok());
+  Program to_sign = *inst;  // The copy allocates; the Sign below must not.
+
+  const uint64_t before = AllocCount();
+  const bool verified = authority.Verify(*signed_graft);
+  Result<SignedGraft> resigned = authority.Sign(std::move(to_sign));
+  const uint64_t allocs = AllocCount() - before;
+
+  EXPECT_TRUE(verified);
+  ASSERT_TRUE(resigned.ok());
+  EXPECT_EQ(resigned->signature, signed_graft->signature);
+  EXPECT_EQ(allocs, 0u);
 }
 
 TEST_F(AllocTest, TracingAndSpoolingEnabledSafePathIsAllocationFree) {

@@ -164,6 +164,7 @@ TEST_F(InstallStressTest, ChurnInstallInvokeRemove) {
   // Teardown churn: transient points come and go under the invokers'
   // lookups. Invokers must either miss (kNotFound) or complete their visit
   // before the unregister+destroy finishes — never touch a dead point.
+  std::atomic<bool> transient_started{false};
   threads.emplace_back([&] {
     Rng rng(0xDEAD5EEDull);
     int rounds = 0;
@@ -176,6 +177,7 @@ TEST_F(InstallStressTest, ChurnInstallInvokeRemove) {
       ns_.Unregister(name);
       point.reset();
       ++rounds;
+      transient_started.store(true, std::memory_order_release);
     }
     EXPECT_GT(rounds, 0);
   });
@@ -192,6 +194,11 @@ TEST_F(InstallStressTest, ChurnInstallInvokeRemove) {
     }
   });
 
+  // The teardown churn must overlap the run: `stop` is set only after its
+  // first round, however the threads happen to be scheduled.
+  while (!transient_started.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
   for (size_t i = 0; i < static_cast<size_t>(kInstallers + kInvokers); ++i) {
     threads[i].join();
   }

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+
 #include "src/sfi/assembler.h"
 #include "src/sfi/disasm.h"
 #include "src/sfi/memory_image.h"
@@ -128,6 +131,87 @@ INSTANTIATE_TEST_SUITE_P(AllOps, OpRoundTripTest,
                            }
                            return name;
                          });
+
+// The op-class table in isa.h, checked against an independent hand-written
+// listing of every opcode's operand use and class.
+struct ExpectedClass {
+  Op op;
+  bool reads_rs1, reads_rs2, writes_rd, load, store, branch, call;
+};
+
+constexpr ExpectedClass kExpectedClasses[] = {
+    // op               rs1    rs2    rd     load   store  branch call
+    {Op::kNop,          false, false, false, false, false, false, false},
+    {Op::kHalt,         false, false, false, false, false, false, false},
+    {Op::kLoadImm,      false, false, true,  false, false, false, false},
+    {Op::kMov,          true,  false, true,  false, false, false, false},
+    {Op::kAdd,          true,  true,  true,  false, false, false, false},
+    {Op::kSub,          true,  true,  true,  false, false, false, false},
+    {Op::kMul,          true,  true,  true,  false, false, false, false},
+    {Op::kDivU,         true,  true,  true,  false, false, false, false},
+    {Op::kRemU,         true,  true,  true,  false, false, false, false},
+    {Op::kAnd,          true,  true,  true,  false, false, false, false},
+    {Op::kOr,           true,  true,  true,  false, false, false, false},
+    {Op::kXor,          true,  true,  true,  false, false, false, false},
+    {Op::kShl,          true,  true,  true,  false, false, false, false},
+    {Op::kShr,          true,  true,  true,  false, false, false, false},
+    {Op::kSar,          true,  true,  true,  false, false, false, false},
+    {Op::kAddI,         true,  false, true,  false, false, false, false},
+    {Op::kMulI,         true,  false, true,  false, false, false, false},
+    {Op::kAndI,         true,  false, true,  false, false, false, false},
+    {Op::kOrI,          true,  false, true,  false, false, false, false},
+    {Op::kXorI,         true,  false, true,  false, false, false, false},
+    {Op::kShlI,         true,  false, true,  false, false, false, false},
+    {Op::kShrI,         true,  false, true,  false, false, false, false},
+    {Op::kLd8,          true,  false, true,  true,  false, false, false},
+    {Op::kLd16,         true,  false, true,  true,  false, false, false},
+    {Op::kLd32,         true,  false, true,  true,  false, false, false},
+    {Op::kLd64,         true,  false, true,  true,  false, false, false},
+    {Op::kSt8,          true,  true,  false, false, true,  false, false},
+    {Op::kSt16,         true,  true,  false, false, true,  false, false},
+    {Op::kSt32,         true,  true,  false, false, true,  false, false},
+    {Op::kSt64,         true,  true,  false, false, true,  false, false},
+    {Op::kJmp,          false, false, false, false, false, true,  false},
+    {Op::kBeq,          true,  true,  false, false, false, true,  false},
+    {Op::kBne,          true,  true,  false, false, false, true,  false},
+    {Op::kBltU,         true,  true,  false, false, false, true,  false},
+    {Op::kBgeU,         true,  true,  false, false, false, true,  false},
+    {Op::kBltS,         true,  true,  false, false, false, true,  false},
+    {Op::kBgeS,         true,  true,  false, false, false, true,  false},
+    {Op::kCall,         false, false, true,  false, false, false, true},
+    {Op::kCallR,        true,  false, true,  false, false, false, true},
+    {Op::kSandboxAddr,  true,  false, true,  false, false, false, false},
+    {Op::kCheckedCallR, true,  false, true,  false, false, false, true},
+};
+static_assert(std::size(kExpectedClasses) ==
+              static_cast<size_t>(Op::kOpCount));
+
+TEST(OpClassTest, EveryOpcodeMatchesTheHandWrittenTable) {
+  for (size_t i = 0; i < std::size(kExpectedClasses); ++i) {
+    const ExpectedClass& e = kExpectedClasses[i];
+    ASSERT_EQ(static_cast<size_t>(e.op), i) << "listing out of enum order";
+    SCOPED_TRACE(std::string(OpName(e.op)));
+    EXPECT_EQ(ReadsRs1(e.op), e.reads_rs1);
+    EXPECT_EQ(ReadsRs2(e.op), e.reads_rs2);
+    EXPECT_EQ(WritesRd(e.op), e.writes_rd);
+    EXPECT_EQ(IsLoad(e.op), e.load);
+    EXPECT_EQ(IsStore(e.op), e.store);
+    EXPECT_EQ(IsBranch(e.op), e.branch);
+    EXPECT_EQ(IsCall(e.op), e.call);
+    // Only loads and stores have an access width.
+    EXPECT_EQ(AccessWidth(e.op) != 0, e.load || e.store);
+  }
+}
+
+TEST(OpClassTest, UndefinedOpcodesClassifyAsNothing) {
+  for (int v = static_cast<int>(Op::kOpCount); v < 256; ++v) {
+    const auto op = static_cast<Op>(v);
+    EXPECT_EQ(OpClassOf(op), 0) << v;
+    EXPECT_FALSE(IsBranch(op) || IsLoad(op) || IsStore(op) || IsCall(op) ||
+                 ReadsRs1(op) || ReadsRs2(op) || WritesRd(op))
+        << v;
+  }
+}
 
 }  // namespace
 }  // namespace vino

@@ -113,6 +113,35 @@ TEST(EncodeTest, RoundTrip) {
   EXPECT_EQ(decoded->direct_call_ids, p->direct_call_ids);
 }
 
+TEST(EncodeTest, ChunkedWriterMatchesEncodeProgramAtEveryBufferSize) {
+  // The streamed signing path and EncodeProgram share one writer; any
+  // buffer size, including ones that split the name or an instruction,
+  // yields the same bytes.
+  Asm a(std::string(40, 'n'));
+  for (int i = 0; i < 50; ++i) {
+    a.AddI(R1, R1, -i);
+  }
+  a.Call(7);
+  a.Halt();
+  Result<Program> p = a.Finish();
+  ASSERT_TRUE(p.ok());
+  const std::vector<uint8_t> whole = EncodeProgram(*p);
+  ASSERT_EQ(whole.size(), EncodedProgramSize(*p));
+  for (const size_t size : {size_t{1}, size_t{7}, size_t{12}, size_t{64},
+                            size_t{100}, whole.size(), whole.size() + 9}) {
+    std::vector<uint8_t> buf(size);
+    std::vector<uint8_t> streamed;
+    EncodeProgramChunks(
+        *p, buf,
+        [](void* ctx, const uint8_t* data, size_t len) {
+          auto* out = static_cast<std::vector<uint8_t>*>(ctx);
+          out->insert(out->end(), data, data + len);
+        },
+        &streamed);
+    EXPECT_EQ(streamed, whole) << "buffer " << size;
+  }
+}
+
 TEST(EncodeTest, TruncatedBytesRejected) {
   Asm a("t");
   a.LoadImm(R0, 1);

@@ -129,11 +129,18 @@ TEST_F(TraceTest, MultiWriterSnapshotDuringWriteDeliversNoTornRecords) {
   constexpr int kWriters = 4;
   constexpr uint64_t kPostsPerWriter = 3 * trace::kRingRecords;  // Wraps.
   std::atomic<int> writers_done{0};
+  // The writers start behind this latch, which the reader opens after its
+  // first snapshot: it always snapshots while they are live, however the
+  // threads happen to be scheduled.
+  std::atomic<bool> go{false};
 
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([w, &writers_done] {
+    writers.emplace_back([w, &writers_done, &go] {
+      while (!go.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       const uint64_t magic = 0x9e3779b97f4a7c15ull * static_cast<uint64_t>(w + 1);
       for (uint64_t i = 0; i < kPostsPerWriter; ++i) {
         trace::Post(trace::Event::kLockAcquire,
@@ -151,6 +158,7 @@ TEST_F(TraceTest, MultiWriterSnapshotDuringWriteDeliversNoTornRecords) {
     trace::SnapshotStats stats;
     const auto records = trace::Snapshot(&stats);
     ++snapshots;
+    go.store(true, std::memory_order_release);
     for (const auto& r : records) {
       if (static_cast<trace::Event>(r.record.event) !=
           trace::Event::kLockAcquire) {
@@ -279,11 +287,18 @@ TEST_F(TraceTest, DrainCursorVersusWritersDeliversUntornMonotonicStreams) {
   constexpr int kWriters = 4;
   constexpr uint64_t kPostsPerWriter = 3 * trace::kRingRecords;  // Wraps.
   std::atomic<int> writers_done{0};
+  // The writers start behind this latch, which the drainer opens after its
+  // first drain: it always drains while they are live, however the
+  // threads happen to be scheduled.
+  std::atomic<bool> go{false};
 
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([w, &writers_done] {
+    writers.emplace_back([w, &writers_done, &go] {
+      while (!go.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       const uint64_t magic =
           0x9e3779b97f4a7c15ull * static_cast<uint64_t>(w + 1);
       for (uint64_t i = 0; i < kPostsPerWriter; ++i) {
@@ -301,6 +316,7 @@ TEST_F(TraceTest, DrainCursorVersusWritersDeliversUntornMonotonicStreams) {
   while (writers_done.load(std::memory_order_acquire) < kWriters) {
     (void)cursor.DrainInto(sink);
     ++drains;
+    go.store(true, std::memory_order_release);
   }
   for (auto& t : writers) {
     t.join();
