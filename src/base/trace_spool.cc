@@ -1,17 +1,14 @@
 #include "src/base/trace_spool.h"
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <string_view>
 
 #include "src/base/log.h"
 
@@ -69,67 +66,6 @@ uint32_t Crc32(const void* data, size_t len) {
 }
 
 // ---------------------------------------------------------------------------
-// Segment naming.
-
-std::string SegmentPath(const std::string& base, uint64_t index) {
-  return base + ".s" + std::to_string(index) + ".bin";
-}
-
-bool ParseSegmentPath(const std::string& path, std::string* base,
-                      uint64_t* index) {
-  static constexpr std::string_view kSuffix = ".bin";
-  if (path.size() <= kSuffix.size() ||
-      path.compare(path.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-          0) {
-    return false;
-  }
-  const std::string stem = path.substr(0, path.size() - kSuffix.size());
-  const size_t infix = stem.rfind(".s");
-  if (infix == std::string::npos || infix + 2 >= stem.size()) {
-    return false;
-  }
-  const std::string digits = stem.substr(infix + 2);
-  for (const char c : digits) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-  }
-  if (base != nullptr) {
-    *base = stem.substr(0, infix);
-  }
-  if (index != nullptr) {
-    *index = std::strtoull(digits.c_str(), nullptr, 10);
-  }
-  return true;
-}
-
-std::vector<uint64_t> ListSegments(const std::string& base) {
-  std::vector<uint64_t> indices;
-  std::string dir = ".";
-  std::string name = base;
-  const size_t slash = base.find_last_of('/');
-  if (slash != std::string::npos) {
-    dir = slash == 0 ? "/" : base.substr(0, slash);
-    name = base.substr(slash + 1);
-  }
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    return indices;
-  }
-  while (const dirent* entry = ::readdir(d)) {
-    std::string candidate_base;
-    uint64_t index = 0;
-    if (ParseSegmentPath(entry->d_name, &candidate_base, &index) &&
-        candidate_base == name) {
-      indices.push_back(index);
-    }
-  }
-  ::closedir(d);
-  std::sort(indices.begin(), indices.end());
-  return indices;
-}
-
-// ---------------------------------------------------------------------------
 // SpoolWriter.
 
 SpoolWriter::~SpoolWriter() {
@@ -142,37 +78,12 @@ Status SpoolWriter::Open(const std::string& path) {
   if (fd_ >= 0) {
     return Status::kAlreadyExists;
   }
-  rotating_ = false;
-  base_ = path;
   pending_.reserve(kMaxBatchRecords);
-  return OpenSegmentFile();
-}
-
-Status SpoolWriter::OpenRotating(const std::string& base,
-                                 const Rotation& rotation) {
-  if (fd_ >= 0) {
-    return Status::kAlreadyExists;
-  }
-  if (rotation.segment_bytes == 0 || rotation.max_segments == 0) {
-    status_ = Status::kInvalidArgs;
-    return status_;
-  }
-  rotating_ = true;
-  rotation_ = rotation;
-  base_ = base;
-  pending_.reserve(kMaxBatchRecords);
-  return OpenSegmentFile();
-}
-
-Status SpoolWriter::OpenSegmentFile() {
-  const std::string path =
-      rotating_ ? SegmentPath(base_, segment_index_) : base_;
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd_ < 0) {
     status_ = Status::kInvalidArgs;
     return status_;
   }
-  segment_bytes_ = 0;
   const FileHeader header;
   WriteAll(&header, sizeof(header));
   return status_;
@@ -231,34 +142,7 @@ Status SpoolWriter::WriteBatch(uint32_t flags) {
     records_ += pending_.size();
   }
   pending_.clear();
-  if (flags == 0) {
-    MaybeRotate();  // Only data batches trigger rotation; trailers never do.
-  }
   return status_;
-}
-
-void SpoolWriter::MaybeRotate() {
-  if (!rotating_ || !IsOk(status_) ||
-      segment_bytes_ < rotation_.segment_bytes) {
-    return;
-  }
-  // The stream continues: trailer, next segment, reclaim the oldest.
-  // batch_seq_ and lost_total_ are stream state, untouched by rotation.
-  (void)WriteBatch(kBatchFlagRotate);  // pending_ is empty here.
-  if (!IsOk(status_)) {
-    return;
-  }
-  ::close(fd_);
-  fd_ = -1;
-  ++segment_index_;
-  if (!IsOk(OpenSegmentFile())) {
-    return;  // Sticky: spooling degrades to a no-op, history stays on disk.
-  }
-  while (segment_index_ - first_segment_ + 1 > rotation_.max_segments) {
-    (void)::unlink(SegmentPath(base_, first_segment_).c_str());
-    ++first_segment_;
-    ++segments_reclaimed_;
-  }
 }
 
 void SpoolWriter::WriteAll(const void* data, size_t len) {
@@ -281,7 +165,6 @@ void SpoolWriter::WriteAll(const void* data, size_t len) {
     put += static_cast<size_t>(n);
   }
   bytes_ += len;
-  segment_bytes_ += len;
 }
 
 // ---------------------------------------------------------------------------
@@ -297,7 +180,12 @@ Status SpoolFollower::Open(const std::string& path) {
   if (fd_ >= 0) {
     return Status::kAlreadyExists;
   }
-  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  path_ = path;
+  return OpenFile();
+}
+
+Status SpoolFollower::OpenFile() {
+  fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd_ < 0) {
     return Status::kNotFound;
   }
@@ -328,12 +216,9 @@ Status SpoolFollower::Open(const std::string& path) {
   return Status::kOk;
 }
 
-bool SpoolFollower::DisplacedBy(const std::string& path) const {
-  if (fd_ < 0) {
-    return false;
-  }
+bool SpoolFollower::Displaced() const {
   struct stat st;
-  if (::stat(path.c_str(), &st) != 0) {
+  if (::stat(path_.c_str(), &st) != 0) {
     return true;  // Unlinked or renamed away.
   }
   if (static_cast<uint64_t>(st.st_dev) != dev_ ||
@@ -344,9 +229,31 @@ bool SpoolFollower::DisplacedBy(const std::string& path) const {
 }
 
 Status SpoolFollower::Poll(std::vector<trace::TaggedRecord>& out) {
-  if (fd_ < 0 || dead_) {
+  if (path_.empty() || dead_) {
     return Status::kUnavailable;
   }
+  for (;;) {
+    if (fd_ < 0) {
+      // Reopening a displaced file: its replacement may not exist yet, or
+      // its header may not have landed; retry on the next Poll.
+      const Status status = OpenFile();
+      if (!IsOk(status)) {
+        return status == Status::kSpoolCorrupt ? status : Status::kOk;
+      }
+    }
+    const uint64_t before = offset_;
+    const Status status = ReadBatches(out);
+    if (!IsOk(status) || stats_.closed || offset_ != before || !Displaced()) {
+      return status;
+    }
+    // Idle tail on a file that is no longer at the path: the old file has
+    // given everything it will, so read the new one from its header.
+    ::close(fd_);
+    fd_ = -1;
+  }
+}
+
+Status SpoolFollower::ReadBatches(std::vector<trace::TaggedRecord>& out) {
   for (;;) {
     BatchHeader header;
     ssize_t n = PReadAll(fd_, &header, sizeof(header), offset_);
@@ -365,12 +272,15 @@ Status SpoolFollower::Poll(std::vector<trace::TaggedRecord>& out) {
       ++stats_.corrupt_batches;
       return Status::kSpoolCorrupt;
     }
+    // The payload lands straight in `out`; a short read or a CRC mismatch
+    // shrinks it back.
     const size_t payload_bytes =
         static_cast<size_t>(header.record_count) * sizeof(trace::TaggedRecord);
-    std::vector<trace::TaggedRecord> payload(header.record_count);
-    n = PReadAll(fd_, payload.data(), payload_bytes,
-                 offset_ + sizeof(header));
+    const size_t at = out.size();
+    out.resize(at + header.record_count);
+    n = PReadAll(fd_, out.data() + at, payload_bytes, offset_ + sizeof(header));
     if (n < static_cast<ssize_t>(payload_bytes)) {
+      out.resize(at);
       stats_.truncated = true;  // Mid-payload tail; retry next Poll.
       return Status::kOk;
     }
@@ -381,16 +291,15 @@ Status SpoolFollower::Poll(std::vector<trace::TaggedRecord>& out) {
     stats_.truncated = false;
     // Continuity: every framed batch (intact or not) advances the expected
     // sequence; a mismatch is a hole in the stream.
-    if (!saw_seq_) {
-      saw_seq_ = true;
-      stats_.first_batch_seq = header.batch_seq;
-    } else if (header.batch_seq != stats_.next_batch_seq) {
+    if (saw_seq_ && header.batch_seq != stats_.next_batch_seq) {
       ++stats_.seq_gaps;
     }
+    saw_seq_ = true;
     stats_.next_batch_seq = header.batch_seq + 1;
-    if (Crc32(payload.data(), payload_bytes) != header.payload_crc) {
+    if (Crc32(out.data() + at, payload_bytes) != header.payload_crc) {
       // One flipped bit costs one batch: skip it, keep scanning — the
       // length prefix still frames the stream.
+      out.resize(at);
       ++stats_.corrupt_batches;
       continue;
     }
@@ -399,220 +308,31 @@ Status SpoolFollower::Poll(std::vector<trace::TaggedRecord>& out) {
     if (header.lost_total > stats_.lost_total) {
       stats_.lost_total = header.lost_total;
     }
-    out.insert(out.end(), payload.begin(), payload.end());
     if ((header.flags & kBatchFlagClose) != 0) {
       stats_.closed = true;
       return Status::kOk;
     }
-    if ((header.flags & kBatchFlagRotate) != 0) {
-      stats_.rotated = true;  // Stream continues in the next segment.
-      return Status::kOk;
-    }
   }
-}
-
-// ---------------------------------------------------------------------------
-// ChainedFollower.
-
-Status ChainedFollower::Open(const std::string& path) {
-  if (open_) {
-    return Status::kAlreadyExists;
-  }
-  // Retryable until the first file actually opens: a kNotFound /
-  // kSpoolTruncated return (the writer has not created the file, or its
-  // header has not fully landed) leaves the chain re-openable, so a tailer
-  // racing a kernel's startup just calls Open again. Retries must pass the
-  // same path.
-  if (path_.empty()) {
-    totals_ = ReadStats{};
-    totals_.segments = 0;  // Folded-segment count; stats() floors it at 1.
-    std::string base;
-    uint64_t index = 0;
-    if (ParseSegmentPath(path, &base, &index)) {
-      segmented_ = true;
-      base_ = base;
-      index_ = index;
-    } else {
-      struct stat st;
-      if (::stat(path.c_str(), &st) != 0) {
-        // Not a file; maybe a segment base whose ring already exists.
-        const std::vector<uint64_t> segments = ListSegments(path);
-        if (segments.empty()) {
-          return Status::kNotFound;
-        }
-        segmented_ = true;
-        base_ = path;
-        index_ = segments.front();
-      }
-    }
-    path_ = segmented_ ? SegmentPath(base_, index_) : path;
-  }
-  return OpenCurrent();
-}
-
-Status ChainedFollower::OpenCurrent() {
-  if (!follower_) {
-    follower_ = std::make_unique<SpoolFollower>();
-  }
-  const Status status = follower_->Open(path_);
-  if (IsOk(status)) {
-    open_ = true;
-    if (seeded_seq_) {
-      follower_->ExpectBatchSeq(expect_seq_);
-    }
-  }
-  return status;
-}
-
-void ChainedFollower::FoldCurrent() {
-  if (follower_) {
-    const ReadStats& s = follower_->stats();
-    totals_.batches += s.batches;
-    totals_.corrupt_batches += s.corrupt_batches;
-    totals_.records += s.records;
-    totals_.lost_total = std::max(totals_.lost_total, s.lost_total);
-    totals_.seq_gaps += s.seq_gaps;
-    if (s.batches + s.corrupt_batches > 0) {
-      if (totals_.segments == 0) {
-        totals_.first_batch_seq = s.first_batch_seq;
-      }
-      seeded_seq_ = true;
-      expect_seq_ = s.next_batch_seq;
-      totals_.next_batch_seq = s.next_batch_seq;
-    }
-    if (open_) {
-      ++totals_.segments;
-    }
-  }
-  open_ = false;
-  follower_.reset();  // Fresh offset and identity for the next file.
-}
-
-void ChainedFollower::AdvanceTo(uint64_t index) {
-  FoldCurrent();
-  index_ = index;
-  path_ = SegmentPath(base_, index_);
-}
-
-Status ChainedFollower::Poll(std::vector<trace::TaggedRecord>& out) {
-  if (path_.empty()) {
-    return Status::kUnavailable;
-  }
-  for (;;) {
-    if (!open_) {
-      const Status status = OpenCurrent();
-      if (status == Status::kSpoolCorrupt) {
-        return status;
-      }
-      if (!IsOk(status)) {
-        return Status::kOk;  // Not there / header short yet; retry later.
-      }
-    }
-    const size_t before = out.size();
-    const Status status = follower_->Poll(out);
-    if (!IsOk(status)) {
-      return status;  // Unrecoverable corruption in this segment.
-    }
-    {
-      const ReadStats& s = follower_->stats();
-      if (seeded_seq_ || s.batches + s.corrupt_batches > 0) {
-        seeded_seq_ = true;
-        expect_seq_ = s.next_batch_seq;
-      }
-    }
-    if (follower_->closed()) {
-      return Status::kOk;
-    }
-    if (follower_->rotated()) {
-      if (!segmented_) {
-        return Status::kOk;  // A lone file cannot chain; stop at its end.
-      }
-      AdvanceTo(index_ + 1);
-      continue;
-    }
-    if (out.size() != before) {
-      return Status::kOk;  // Made progress; the tail is up to date for now.
-    }
-    // Idle tail: notice a writer that rotated, renamed, or truncated the
-    // file away under our stale fd.
-    if (!follower_->DisplacedBy(path_)) {
-      return Status::kOk;
-    }
-    if (segmented_) {
-      // Our segment was reclaimed mid-read. Jump to the oldest survivor
-      // after it; if the ring has nothing newer yet, keep waiting.
-      const std::vector<uint64_t> segments = ListSegments(base_);
-      uint64_t successor = 0;
-      bool found = false;
-      for (const uint64_t s : segments) {
-        if (s > index_) {
-          successor = s;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::kOk;
-      }
-      AdvanceTo(successor);
-      continue;
-    }
-    // Single file replaced or truncated: fold what the old incarnation
-    // gave us and re-read the new one from its header (a restarted writer
-    // is a new stream, so its batch_seq reset shows up as a seq gap).
-    FoldCurrent();
-    continue;
-  }
-}
-
-const ReadStats& ChainedFollower::stats() const {
-  merged_ = totals_;
-  merged_.truncated = false;
-  merged_.closed = false;
-  merged_.rotated = false;
-  if (follower_) {
-    const ReadStats& s = follower_->stats();
-    merged_.batches += s.batches;
-    merged_.corrupt_batches += s.corrupt_batches;
-    merged_.records += s.records;
-    merged_.lost_total = std::max(merged_.lost_total, s.lost_total);
-    merged_.seq_gaps += s.seq_gaps;
-    merged_.truncated = s.truncated;
-    merged_.closed = s.closed;
-    merged_.rotated = s.rotated;
-    if (s.batches + s.corrupt_batches > 0) {
-      if (totals_.segments == 0) {
-        merged_.first_batch_seq = s.first_batch_seq;
-      }
-      merged_.next_batch_seq = s.next_batch_seq;
-    }
-  }
-  merged_.segments = totals_.segments + (open_ ? 1 : 0);
-  if (merged_.segments == 0) {
-    merged_.segments = 1;
-  }
-  return merged_;
 }
 
 Status ReadSpoolChain(const std::string& path,
                       std::vector<trace::TaggedRecord>& out,
                       ReadStats* stats) {
-  ChainedFollower chain;
-  Status status = chain.Open(path);
+  SpoolFollower follower;
+  Status status = follower.Open(path);
   if (IsOk(status)) {
-    status = chain.Poll(out);
+    status = follower.Poll(out);
   }
   if (stats != nullptr) {
-    *stats = chain.stats();
+    *stats = follower.stats();
   }
   if (!IsOk(status)) {
     return status;
   }
-  const ReadStats& s = chain.stats();
-  if (s.corrupt_batches > 0) {
+  if (follower.stats().corrupt_batches > 0) {
     return Status::kSpoolCorrupt;
   }
-  if (s.truncated) {
+  if (follower.stats().truncated) {
     return Status::kSpoolTruncated;
   }
   return Status::kOk;
@@ -629,10 +349,7 @@ Result<std::unique_ptr<SpoolDrainer>> SpoolDrainer::Start(
   }
   // make_unique needs a public constructor; new keeps it private.
   std::unique_ptr<SpoolDrainer> drainer(new SpoolDrainer(options));
-  const Status open_status =
-      options.rotation.segment_bytes > 0
-          ? drainer->writer_.OpenRotating(options.path, options.rotation)
-          : drainer->writer_.Open(options.path);
+  const Status open_status = drainer->writer_.Open(options.path);
   if (!IsOk(open_status)) {
     return open_status;
   }
@@ -697,8 +414,6 @@ void SpoolDrainer::DrainOnceLocked() {
   stats_.last_occupancy_permille = drained.max_occupancy_permille;
   stats_.batches = writer_.batches_written();
   stats_.bytes = writer_.bytes_written();
-  stats_.segments = writer_.segments_created();
-  stats_.segments_reclaimed = writer_.segments_reclaimed();
   stats_.writer_status = writer_.status();
 
   // Adaptive cadence: chase bursts, back off when idle. Multiplicative in
@@ -720,35 +435,19 @@ void SpoolDrainer::DrainOnceLocked() {
 // Environment derivation.
 
 bool DeriveEnvSpoolOptions(SpoolDrainer::Options* options) {
-  if (const char* bytes = std::getenv("VINO_SPOOL_SEGMENT_BYTES");
-      bytes != nullptr && *bytes != '\0') {
-    options->rotation.segment_bytes = std::strtoull(bytes, nullptr, 10);
-  }
-  if (const char* count = std::getenv("VINO_SPOOL_SEGMENTS");
-      count != nullptr && *count != '\0') {
-    const uint64_t v = std::strtoull(count, nullptr, 10);
-    if (v > 0 && v <= UINT32_MAX) {
-      options->rotation.max_segments = static_cast<uint32_t>(v);
-    }
-  }
   if (!options->path.empty()) {
-    return true;  // Explicit path wins; rotation knobs still apply.
+    return true;  // Explicit path wins.
   }
   const char* dir = std::getenv("VINO_SPOOL");
   if (dir == nullptr || *dir == '\0') {
     return false;
   }
-  // One spool stream per kernel per process: vspool.<pid>.<k>, where k
-  // counts this process's spooling kernels. Plain files carry ".bin";
-  // rotated streams use the bare name as the segment base
-  // (vspool.<pid>.<k>.s<n>.bin on disk).
+  // One spool file per kernel per process: vspool.<pid>.<k>.bin, where k
+  // counts this process's spooling kernels.
   static std::atomic<uint64_t> kernel_counter{0};
   const uint64_t k = kernel_counter.fetch_add(1, std::memory_order_relaxed);
-  options->path = std::string(dir) + "/vspool." +
-                  std::to_string(::getpid()) + "." + std::to_string(k);
-  if (options->rotation.segment_bytes == 0) {
-    options->path += ".bin";
-  }
+  options->path = std::string(dir) + "/vspool." + std::to_string(::getpid()) +
+                  "." + std::to_string(k) + ".bin";
   return true;
 }
 

@@ -34,19 +34,8 @@
 //                 record_count u32, payload_crc u32 }
 //
 // A batch with kBatchFlagClose set is the writer's trailer: the spool was
-// closed cleanly and a follower may stop waiting for more.
-//
-// Rotation (format-compatible extension): a writer opened with
-// OpenRotating() splits the stream into size-capped segment files
-// `<base>.s<n>.bin`, each a self-contained v1 spool (own FileHeader). A
-// segment that was rotated away ends with a zero-record kBatchFlagRotate
-// trailer — "the stream continues in the next segment". batch_seq and
-// lost_total are properties of the *stream*, not the segment, so they run
-// continuously across the boundary and replay accounting stays exact; a
-// reader chaining segments verifies the sequence is gap-free (reclaimed
-// segments at the front show up as a nonzero first_batch_seq, never as a
-// silent hole). Old readers treat a rotate trailer like any zero-record
-// batch and simply stop at the segment's end.
+// closed cleanly and a follower may stop waiting for more. Any other flag
+// bit is ignored, so a batch with an unknown flag reads like any other.
 
 #ifndef VINOLITE_SRC_BASE_TRACE_SPOOL_H_
 #define VINOLITE_SRC_BASE_TRACE_SPOOL_H_
@@ -72,9 +61,6 @@ inline constexpr uint32_t kFormatVersion = 1;
 // "BTCH" read as a little-endian u32.
 inline constexpr uint32_t kBatchMagic = 0x48435442u;
 inline constexpr uint32_t kBatchFlagClose = 1u << 0;
-// Zero-record trailer of a rotated-away segment: the stream continues in
-// the next segment of the ring (`<base>.s<n+1>.bin`).
-inline constexpr uint32_t kBatchFlagRotate = 1u << 1;
 // Upper bound a reader will believe; also the writer's auto-flush point.
 // 4096 records × 48 B ≈ 192 KiB per batch.
 inline constexpr uint32_t kMaxBatchRecords = 4096;
@@ -104,25 +90,6 @@ static_assert(std::is_trivially_copyable_v<trace::TaggedRecord> &&
 [[nodiscard]] uint32_t Crc32(const void* data, size_t len);
 
 // ---------------------------------------------------------------------------
-// Segment naming.
-//
-// A rotated stream's segment `n` lives at `<base>.s<n>.bin`. The `.s`
-// infix keeps segments distinguishable from the kernel's single-file
-// spools (`vspool.<pid>.<k>.bin`), whose trailing dot-fields would
-// otherwise parse as a segment index.
-
-[[nodiscard]] std::string SegmentPath(const std::string& base, uint64_t index);
-
-// Parses `path` as a segment path. On success fills `base`/`index` and
-// returns true; a plain (unrotated) spool path returns false.
-[[nodiscard]] bool ParseSegmentPath(const std::string& path, std::string* base,
-                                    uint64_t* index);
-
-// Lists the indices of existing segments of `base`, sorted ascending.
-// Returns an empty vector when none exist (or the directory is unreadable).
-[[nodiscard]] std::vector<uint64_t> ListSegments(const std::string& base);
-
-// ---------------------------------------------------------------------------
 // Writer.
 
 // The durable TraceSink. OnRecord appends to a fixed in-memory batch;
@@ -142,23 +109,8 @@ class SpoolWriter : public trace::TraceSink {
   SpoolWriter(const SpoolWriter&) = delete;
   SpoolWriter& operator=(const SpoolWriter&) = delete;
 
-  // Size-capped segment ring. With rotation active the writer checks the
-  // current segment's size after every data batch; at or past the cap it
-  // appends a kBatchFlagRotate trailer, opens `<base>.s<n+1>.bin`, and
-  // unlinks the oldest segment once more than `max_segments` are live.
-  // Rotation is the one non-steady-state path that allocates (one path
-  // string per segment) — it is cold by construction.
-  struct Rotation {
-    uint64_t segment_bytes = 0;  // Rotate at/past this size; 0 = never.
-    uint32_t max_segments = 8;   // Live segments kept; oldest reclaimed.
-  };
-
   // Creates/truncates `path` and writes the file header.
   Status Open(const std::string& path);
-
-  // Rotating variant: segments live at `<base>.s<n>.bin`, starting at s0.
-  // rotation.segment_bytes and rotation.max_segments must be nonzero.
-  Status OpenRotating(const std::string& base, const Rotation& rotation);
 
   // Buffers one record; auto-commits when the batch reaches
   // kMaxBatchRecords.
@@ -179,20 +131,9 @@ class SpoolWriter : public trace::TraceSink {
   [[nodiscard]] uint64_t records_written() const { return records_; }
   [[nodiscard]] uint64_t bytes_written() const { return bytes_; }
 
-  // Rotation observability. For a non-rotating writer: 1 / 0 / 0.
-  [[nodiscard]] uint64_t segments_created() const {
-    return rotating_ ? segment_index_ + 1 : 1;
-  }
-  [[nodiscard]] uint64_t segments_reclaimed() const {
-    return segments_reclaimed_;
-  }
-  [[nodiscard]] uint64_t first_segment() const { return first_segment_; }
-
  private:
   Status WriteBatch(uint32_t flags);
   void WriteAll(const void* data, size_t len);
-  Status OpenSegmentFile();
-  void MaybeRotate();
 
   int fd_ = -1;
   Status status_ = Status::kOk;
@@ -202,15 +143,6 @@ class SpoolWriter : public trace::TraceSink {
   uint64_t batches_ = 0;
   uint64_t records_ = 0;
   uint64_t bytes_ = 0;
-
-  // Rotation state (rotating_ == false for plain Open()).
-  bool rotating_ = false;
-  Rotation rotation_;
-  std::string base_;
-  uint64_t segment_index_ = 0;   // Segment currently being written.
-  uint64_t first_segment_ = 0;   // Oldest segment still on disk.
-  uint64_t segment_bytes_ = 0;   // Bytes written into the current segment.
-  uint64_t segments_reclaimed_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -223,20 +155,17 @@ struct ReadStats {
   uint64_t lost_total = 0;  // Highest loss counter seen in a batch header.
   bool truncated = false;   // File ends mid-header or mid-payload.
   bool closed = false;      // The writer's close trailer was seen.
-  bool rotated = false;     // Ends with a rotate trailer (stream continues).
-  uint64_t segments = 1;    // Segment files chained into this view.
-  // batch_seq continuity: the stream's sequence numbers run from
-  // first_batch_seq (nonzero when reclaimed segments are missing from the
-  // front of the ring) to next_batch_seq - 1; seq_gaps counts framed
-  // batches that broke the expected sequence (a hole mid-stream).
-  uint64_t first_batch_seq = 0;
+  // batch_seq continuity: next_batch_seq is one past the last framed
+  // batch; seq_gaps counts framed batches that broke the expected sequence
+  // (a hole mid-stream, or a writer that restarted the file).
   uint64_t next_batch_seq = 0;
   uint64_t seq_gaps = 0;
 };
 
-// Tails a spool file: Poll() delivers every *complete* batch appended since
-// the previous Poll, leaving a partial tail for next time — the reader half
-// of `graftstat --follow`.
+// The one spool reader. Tails a spool file: Poll() delivers every
+// *complete* batch appended since the previous Poll, leaving a partial tail
+// for next time — the reader behind ReadSpoolChain and `graftstat --spool`
+// / `--follow`.
 class SpoolFollower {
  public:
   SpoolFollower() = default;
@@ -245,108 +174,56 @@ class SpoolFollower {
   SpoolFollower(const SpoolFollower&) = delete;
   SpoolFollower& operator=(const SpoolFollower&) = delete;
 
-  // Validates the file header. kSpoolTruncated for an empty/short file,
-  // kSpoolCorrupt for a bad magic/version/record size.
+  // Opens `path` and validates its file header: kNotFound when there is no
+  // such file, kSpoolTruncated for an empty/short file, kSpoolCorrupt for a
+  // bad magic/version/record size. The first two leave the follower
+  // re-openable, so a tailer racing a writer's startup calls Open again
+  // (with the same path) until the header lands.
   Status Open(const std::string& path);
 
   // Appends the records of every complete, intact batch now available.
   // Returns kOk (more may come), or kSpoolCorrupt if an unrecoverable
   // header corruption stopped the scan (no way to resynchronize).
+  //
+  // An idle tail whose file was renamed away, replaced, or truncated below
+  // what was already consumed (a writer restarted underneath the stale fd)
+  // has read all the old file had to give: Poll reopens the path and reads
+  // the new file from its header. The restarted stream's batch_seq reset
+  // counts as a seq gap; a replacement that is not there yet (or whose
+  // header is short) is retried on the next Poll.
   Status Poll(std::vector<trace::TaggedRecord>& out);
 
   [[nodiscard]] const ReadStats& stats() const { return stats_; }
   [[nodiscard]] bool closed() const { return stats_.closed; }
-  [[nodiscard]] bool rotated() const { return stats_.rotated; }
-
-  // True when `path` no longer names the file this follower has open: the
-  // file was unlinked, renamed away (different inode now at the path), or
-  // truncated below what was already consumed. A tailing reader uses this
-  // to notice the writer rotated or restarted underneath its stale fd.
-  [[nodiscard]] bool DisplacedBy(const std::string& path) const;
-
-  // Seeds the batch_seq continuity check: the next framed batch must carry
-  // `seq` or it counts as a gap. Chain readers carry the expectation across
-  // segment boundaries with this.
-  void ExpectBatchSeq(uint64_t seq) {
-    saw_seq_ = true;
-    stats_.first_batch_seq = seq;
-    stats_.next_batch_seq = seq;
-  }
 
  private:
+  // Opens path_ at its header; Open's status contract.
+  Status OpenFile();
+  // Reads every complete batch after offset_ (one Poll pass over one file).
+  Status ReadBatches(std::vector<trace::TaggedRecord>& out);
+  // True when path_ no longer names the open file: unlinked, renamed away
+  // (a different inode at the path now), or shorter than offset_.
+  [[nodiscard]] bool Displaced() const;
+
+  std::string path_;
   int fd_ = -1;
   uint64_t offset_ = 0;  // First byte not yet consumed.
   bool dead_ = false;    // Unrecoverable corruption; stop scanning.
   bool saw_seq_ = false;
-  uint64_t dev_ = 0;  // Identity of the opened file, for DisplacedBy.
+  uint64_t dev_ = 0;  // Identity of the opened file, for Displaced().
   uint64_t ino_ = 0;
   ReadStats stats_;
 };
 
-// ---------------------------------------------------------------------------
-// Chained reader: one logical stream across a segment ring.
-
-// Follows a spool across rotation. Open() accepts a plain spool file, a
-// single segment (`<base>.s<n>.bin`), or a bare base path (the lowest
-// existing segment is picked up — after reclamation that is not s0, and
-// stats().first_batch_seq says how much history the ring already dropped).
-//
-// Poll() drains every complete batch currently available, transparently
-// advancing to the next segment whenever the current one ends with a
-// rotate trailer; a successor that does not exist yet (the writer is
-// mid-rotation) is retried on the next Poll. When nothing new is readable
-// it also checks DisplacedBy(): a tail whose file was rotated away,
-// renamed, or truncated under its stale fd reopens the successor segment
-// (or the recreated file) instead of waiting forever.
-class ChainedFollower {
- public:
-  ChainedFollower() = default;
-
-  ChainedFollower(const ChainedFollower&) = delete;
-  ChainedFollower& operator=(const ChainedFollower&) = delete;
-
-  Status Open(const std::string& path);
-
-  Status Poll(std::vector<trace::TaggedRecord>& out);
-
-  // Merged view over all segments consumed so far (completed + current).
-  [[nodiscard]] const ReadStats& stats() const;
-  [[nodiscard]] bool closed() const { return stats().closed; }
-
-  // Path of the segment (or file) currently being read.
-  [[nodiscard]] const std::string& current_path() const { return path_; }
-
- private:
-  Status OpenCurrent();
-  // Folds the finished current follower into totals_ and drops it; the
-  // replacement file reopens lazily on the next Poll iteration.
-  void FoldCurrent();
-  // FoldCurrent, then target segment `index` of the ring.
-  void AdvanceTo(uint64_t index);
-
-  bool segmented_ = false;
-  std::string base_;      // Segment base (segmented_ only).
-  uint64_t index_ = 0;    // Current segment index (segmented_ only).
-  std::string path_;      // Path of the current file.
-  bool open_ = false;     // follower_ has a live fd.
-  bool seeded_seq_ = false;
-  uint64_t expect_seq_ = 0;  // Continuity carried across reopens.
-  std::unique_ptr<SpoolFollower> follower_;
-  ReadStats totals_;          // Folded stats of finished segments.
-  mutable ReadStats merged_;  // Scratch for stats().
-};
-
-// The one-shot reader: open (plain file, segment, or base), drain every
-// available segment to EOF, classify. Intact batches are always appended
-// to `out`; the status says how the stream ended:
+// The one-shot reader: open, drain to the current end, classify. Intact
+// batches are always appended to `out`; the status says how the stream
+// ended:
 //   kOk              clean EOF (close trailer or exact batch boundary —
 //                    a live, unclosed stream ends kOk too),
 //   kSpoolTruncated  partial batch at the tail (torn write / live file;
 //                    also an empty file or a short header),
 //   kSpoolCorrupt    bad header or ≥1 batch with a CRC mismatch,
-//   kNotFound        no such file and no segment of such a base.
-// A rotated final segment whose successor is missing reports
-// kSpoolTruncated only if the last readable segment ends mid-batch.
+//   kNotFound        no such file.
 Status ReadSpoolChain(const std::string& path,
                       std::vector<trace::TaggedRecord>& out,
                       ReadStats* stats = nullptr);
@@ -361,13 +238,8 @@ class SpoolDrainer {
   struct Options {
     // Spool file path. Leaving it empty and setting the VINO_SPOOL
     // environment variable to a directory makes VinoKernel derive a
-    // per-kernel path under it (DeriveEnvSpoolOptions below). With
-    // rotation active, `path` is the segment *base*: segments are
-    // written to `<path>.s<n>.bin`.
+    // per-kernel path under it (DeriveEnvSpoolOptions below).
     std::string path;
-
-    // Size-capped segment ring; segment_bytes == 0 spools to one file.
-    SpoolWriter::Rotation rotation;
 
     // Cadence bounds. The drainer sleeps `interval`, starting at min;
     // after each drain the interval halves (≥ min) when the fullest ring
@@ -385,8 +257,6 @@ class SpoolDrainer {
     uint64_t bytes = 0;
     uint64_t lost_total = 0;   // Ring-wrap loss the drainer arrived late for.
     uint64_t interval_us = 0;  // Current adaptive sleep.
-    uint64_t segments = 0;     // Segment files created (1 without rotation).
-    uint64_t segments_reclaimed = 0;  // Oldest segments unlinked at the cap.
     uint32_t last_occupancy_permille = 0;
     Status writer_status = Status::kOk;
   };
@@ -432,18 +302,11 @@ class SpoolDrainer {
   std::thread thread_;
 };
 
-// Applies the spooling environment to `options` and returns true when
-// spooling is requested:
-//   VINO_SPOOL=<dir>              derive a per-kernel path under <dir> —
-//                                 `vspool.<pid>.<k>` where k counts the
-//                                 process's spooling kernels,
-//   VINO_SPOOL_SEGMENT_BYTES=<n>  rotate segments at n bytes (0 = off),
-//   VINO_SPOOL_SEGMENTS=<m>       keep at most m live segments (default 8).
-// Without rotation the derived path gets a ".bin" suffix (a plain spool
-// file); with rotation it is the segment base (`vspool.<pid>.<k>.s<n>.bin`
-// on disk). An explicitly non-empty options->path is left alone; the
-// rotation variables still apply. Used by VinoKernel and by graftstat's
-// self-test workload, so any spool-emitting process obeys the same knobs.
+// Returns true when spooling is requested: an explicitly non-empty
+// options->path is left alone; otherwise VINO_SPOOL=<dir> derives the
+// per-kernel file `<dir>/vspool.<pid>.<k>.bin`, where k counts the
+// process's spooling kernels. Used by VinoKernel and by graftstat's
+// self-test workload, so any spool-emitting process names its file alike.
 bool DeriveEnvSpoolOptions(SpoolDrainer::Options* options);
 
 }  // namespace spool

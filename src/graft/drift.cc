@@ -1,22 +1,14 @@
 #include "src/graft/drift.h"
 
 #include <atomic>
-#include <cstdlib>
 
 namespace vino {
 namespace {
 
-DriftPolicy MakeEnvPolicy() {
-  DriftPolicy policy;
-  const char* eject = std::getenv("VINO_DRIFT_EJECT");
-  policy.eject = eject != nullptr && eject[0] == '1';
-  return policy;
-}
-
 // The current policy. Slots leak on replacement so a reader holding the
 // previous reference (a graft mid-eject-check) never dangles.
 std::atomic<const DriftPolicy*>& PolicySlot() {
-  static std::atomic<const DriftPolicy*> slot{new DriftPolicy(MakeEnvPolicy())};
+  static std::atomic<const DriftPolicy*> slot{new DriftPolicy()};
   return slot;
 }
 

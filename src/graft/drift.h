@@ -37,8 +37,7 @@ namespace vino {
 // Knobs for detection and the (opt-in) eject policy. Installed process-
 // globally — grafts are process-wide entities and the detector runs below
 // any particular kernel instance. VinoKernelConfig::eject_policy applies
-// one at kernel construction; VINO_DRIFT_EJECT=1 flips `eject` on for the
-// default policy.
+// one at kernel construction; the default policy detects but never ejects.
 struct DriftPolicy {
   bool detect = true;  // Evaluate windows and post kGraftDegraded.
   bool eject = false;  // Let graft points eject degraded grafts.

@@ -17,8 +17,7 @@ namespace {
 // Resolves the kernel's spool drainer, if any. Explicit config wins; the
 // VINO_SPOOL environment variable (a directory) derives a per-kernel file
 // name, which is how tools/check.sh spools the whole test suite without
-// touching every test; VINO_SPOOL_SEGMENT_BYTES / VINO_SPOOL_SEGMENTS turn
-// the spool into a size-capped segment ring (spool::DeriveEnvSpoolOptions).
+// touching every test (spool::DeriveEnvSpoolOptions).
 // Failure to open degrades to "no spooling" — the recorder keeps working.
 std::unique_ptr<spool::SpoolDrainer> MakeSpoolDrainer(
     spool::SpoolDrainer::Options options) {

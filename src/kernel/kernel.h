@@ -63,21 +63,18 @@ struct VinoKernelConfig {
   // trace_spool.path is non-empty — or the VINO_SPOOL environment variable
   // names a directory, from which a per-kernel file name is derived — the
   // kernel owns a background drainer that spools the flight recorder to
-  // disk so long traced runs survive ring wrap-around. With
-  // trace_spool.rotation.segment_bytes set (or VINO_SPOOL_SEGMENT_BYTES /
-  // VINO_SPOOL_SEGMENTS in the environment), the spool is a size-capped
-  // segment ring instead of one unbounded file. A path that cannot be
-  // opened logs a warning and disables spooling; it never fails kernel
+  // disk so long traced runs survive ring wrap-around. A path that cannot
+  // be opened logs a warning and disables spooling; it never fails kernel
   // construction.
   spool::SpoolDrainer::Options trace_spool;
 
-  // Opt-in abort-cost drift policy (DESIGN.md "Fleet observability").
+  // Opt-in abort-cost drift policy (DESIGN.md "Abort-cost drift").
   // When set, it is installed as the process-global policy at kernel
   // construction (grafts are process-wide, so the last kernel constructed
   // with a policy wins); unset kernels leave the current policy alone.
   // The default policy detects drift (kGraftDegraded events) but does not
-  // eject; set eject = true — or VINO_DRIFT_EJECT=1 — to let graft points
-  // remove degraded grafts automatically.
+  // eject; set eject = true here to let graft points remove degraded
+  // grafts automatically. This field is the only switch for ejection.
   std::optional<DriftPolicy> eject_policy;
 };
 

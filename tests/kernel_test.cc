@@ -191,57 +191,6 @@ TEST(KernelTest, ConfiguredSpoolDrainsTracesAcrossKernelLifetime) {
   trace::ResetForTest();
 }
 
-TEST(KernelTest, ConfiguredRotationSpoolsSegmentRing) {
-  const std::string base = ::testing::TempDir() + "vino_kernel_rspool." +
-                           std::to_string(::getpid());
-  trace::ResetForTest();
-  trace::SetEnabled(true);
-  {
-    VinoKernelConfig config;
-    config.start_watchdog = false;
-    config.trace_spool.path = base;
-    config.trace_spool.rotation.segment_bytes = 8 * 1024;  // Rotate often.
-    config.trace_spool.rotation.max_segments = 1000;       // Reclaim nothing.
-    VinoKernel kernel(config);
-    ASSERT_NE(kernel.spool(), nullptr);
-
-    Result<std::shared_ptr<Graft>> graft = kernel.LoadGraftFromSource(
-        "loadi r0, 7\nhalt\n", "traced", kUser);
-    ASSERT_TRUE(graft.ok());
-    FunctionGraftPoint point(
-        "k.rspooled", [](std::span<const uint64_t>) -> uint64_t { return 0; },
-        FunctionGraftPoint::Config{}, &kernel.txn(), &kernel.host(),
-        &kernel.ns());
-    ASSERT_EQ(kernel.loader().InstallFunction("k.rspooled", *graft),
-              Status::kOk);
-    for (int i = 0; i < 400; ++i) {
-      ASSERT_EQ(point.Invoke({}), 7u);
-    }
-  }
-  trace::SetEnabled(false);
-
-  // The workload spilled across multiple segments; the chain reads back as
-  // one continuous, closed stream.
-  std::vector<trace::TaggedRecord> records;
-  spool::ReadStats stats;
-  ASSERT_EQ(spool::ReadSpoolChain(base, records, &stats), Status::kOk);
-  EXPECT_TRUE(stats.closed);
-  EXPECT_GT(stats.segments, 1u);
-  EXPECT_EQ(stats.first_batch_seq, 0u);
-  EXPECT_EQ(stats.seq_gaps, 0u);
-  uint64_t invoke_ends = 0;
-  for (const auto& r : records) {
-    if (static_cast<trace::Event>(r.record.event) == trace::Event::kInvokeEnd) {
-      ++invoke_ends;
-    }
-  }
-  EXPECT_GE(invoke_ends, 400u);
-  for (const uint64_t index : spool::ListSegments(base)) {
-    std::remove(spool::SegmentPath(base, index).c_str());
-  }
-  trace::ResetForTest();
-}
-
 TEST(KernelTest, EjectPolicyConfigInstallsGlobalDriftPolicy) {
   DriftPolicy policy;
   policy.eject = true;

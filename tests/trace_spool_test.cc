@@ -165,13 +165,19 @@ TEST_F(TraceSpoolTest, CorruptBatchCrcIsSkippedNotFatal) {
   for (uint64_t i = 4; i < 9; ++i) {
     writer.OnRecord(MakeRecord(i));
   }
+  ASSERT_EQ(writer.Commit(), Status::kOk);
+  for (uint64_t i = 9; i < 12; ++i) {
+    writer.OnRecord(MakeRecord(i));
+  }
   ASSERT_EQ(writer.Close(), Status::kOk);
 
-  // Flip one byte inside the FIRST batch's payload.
+  // Flip one byte inside the SECOND (middle) batch's payload.
   std::FILE* f = std::fopen(path_.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
   ASSERT_EQ(std::fseek(f,
                        static_cast<long>(sizeof(spool::FileHeader) +
+                                         sizeof(spool::BatchHeader) +
+                                         4 * sizeof(trace::TaggedRecord) +
                                          sizeof(spool::BatchHeader) + 5),
                        SEEK_SET),
             0);
@@ -181,14 +187,20 @@ TEST_F(TraceSpoolTest, CorruptBatchCrcIsSkippedNotFatal) {
 
   std::vector<trace::TaggedRecord> records;
   spool::ReadStats stats;
-  // One flipped bit costs one batch: the second batch and the trailer still
-  // parse, and the overall status reports the corruption.
+  // One flipped bit costs one batch: the batches on either side and the
+  // trailer still parse, and the overall status reports the corruption.
   EXPECT_EQ(spool::ReadSpoolChain(path_, records, &stats), Status::kSpoolCorrupt);
-  ASSERT_EQ(records.size(), 5u);
-  EXPECT_EQ(records.front().seq, 4u);
   EXPECT_EQ(stats.corrupt_batches, 1u);
-  EXPECT_EQ(stats.batches, 2u);  // Second data batch + trailer.
+  EXPECT_EQ(stats.batches, 3u);  // First and third data batch + trailer.
   EXPECT_TRUE(stats.closed);
+  // Exactly the bad batch's records (seq 4..8) are gone; its neighbours
+  // arrive whole and in order.
+  std::vector<uint64_t> seqs;
+  for (const auto& r : records) {
+    seqs.push_back(r.seq);
+  }
+  EXPECT_EQ(seqs, (std::vector<uint64_t>{0, 1, 2, 3, 9, 10, 11}));
+  EXPECT_EQ(records[4].record.b, 9u ^ 0xABCDu);
 }
 
 TEST_F(TraceSpoolTest, FollowerDeliversBatchesIncrementally) {
@@ -324,144 +336,22 @@ TEST_F(TraceSpoolTest, StartRejectsBadOptions) {
   EXPECT_FALSE(spool::SpoolDrainer::Start(options).ok());
 }
 
-// ---------------------------------------------------------------------------
-// Rotation: size-capped segment rings.
-
-class SpoolRotationTest : public TraceSpoolTest {
- protected:
-  void TearDown() override {
-    for (const uint64_t index : spool::ListSegments(path_)) {
-      std::remove(spool::SegmentPath(path_, index).c_str());
-    }
-    TraceSpoolTest::TearDown();
-  }
-};
-
-TEST_F(SpoolRotationTest, SegmentPathsRoundTripAndRejectPlainSpools) {
-  const std::string path = spool::SegmentPath("/tmp/x/vspool.12.0", 7);
-  EXPECT_EQ(path, "/tmp/x/vspool.12.0.s7.bin");
-  std::string base;
-  uint64_t index = 0;
-  ASSERT_TRUE(spool::ParseSegmentPath(path, &base, &index));
-  EXPECT_EQ(base, "/tmp/x/vspool.12.0");
-  EXPECT_EQ(index, 7u);
-  // A kernel's single-file spool has trailing dot-fields but no `.s` infix:
-  // it must never parse as a segment of some other stream.
-  EXPECT_FALSE(spool::ParseSegmentPath("/tmp/x/vspool.12.0.bin", &base,
-                                       &index));
-  EXPECT_FALSE(spool::ParseSegmentPath("/tmp/x/vspool.12.0.sX.bin", &base,
-                                       &index));
-  EXPECT_FALSE(spool::ParseSegmentPath("/tmp/x/vspool.12.0.s3", &base,
-                                       &index));
-}
-
-TEST_F(SpoolRotationTest, RotatingWriterChainsLosslesslyAcrossSegments) {
-  spool::SpoolWriter writer;
-  // Rotate after every batch (any nonzero byte count exceeds a 1-byte cap);
-  // keep everything.
-  ASSERT_EQ(writer.OpenRotating(path_, {1, 100}), Status::kOk);
-  uint64_t seq = 0;
-  for (int batch = 0; batch < 5; ++batch) {
-    for (int i = 0; i < 4; ++i) {
-      writer.OnRecord(MakeRecord(seq++));
-    }
-    writer.set_lost_total(static_cast<uint64_t>(batch));  // Stream property.
-    ASSERT_EQ(writer.Commit(), Status::kOk);
-  }
-  ASSERT_EQ(writer.Close(), Status::kOk);
-  EXPECT_GE(writer.segments_created(), 5u);
-  EXPECT_EQ(writer.segments_reclaimed(), 0u);
-
-  std::vector<trace::TaggedRecord> records;
-  spool::ReadStats stats;
-  ASSERT_EQ(spool::ReadSpoolChain(path_, records, &stats), Status::kOk);
-  // Every record survives the segment boundaries, in order.
-  ASSERT_EQ(records.size(), 20u);
-  for (uint64_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].seq, i);
-  }
-  // batch_seq / lost_total are stream state: continuous across segments.
-  EXPECT_TRUE(stats.closed);
-  EXPECT_EQ(stats.first_batch_seq, 0u);
-  EXPECT_EQ(stats.seq_gaps, 0u);
-  EXPECT_EQ(stats.lost_total, 4u);
-  EXPECT_GE(stats.segments, 5u);
-  EXPECT_EQ(stats.corrupt_batches, 0u);
-}
-
-TEST_F(SpoolRotationTest, CapReclaimsOldestSegmentAndReaderReportsIt) {
-  spool::SpoolWriter writer;
-  ASSERT_EQ(writer.OpenRotating(path_, {1, 2}), Status::kOk);  // Keep 2.
-  uint64_t seq = 0;
-  for (int batch = 0; batch < 6; ++batch) {
-    for (int i = 0; i < 3; ++i) {
-      writer.OnRecord(MakeRecord(seq++));
-    }
-    ASSERT_EQ(writer.Commit(), Status::kOk);
-  }
-  ASSERT_EQ(writer.Close(), Status::kOk);
-  EXPECT_GT(writer.segments_reclaimed(), 0u);
-
-  // Only the capped live window remains on disk.
-  const std::vector<uint64_t> segments = spool::ListSegments(path_);
-  ASSERT_EQ(segments.size(), 2u);
-  EXPECT_EQ(segments.front(), writer.first_segment());
-
-  std::vector<trace::TaggedRecord> records;
-  spool::ReadStats stats;
-  ASSERT_EQ(spool::ReadSpoolChain(path_, records, &stats), Status::kOk);
-  // The reader gets the most recent suffix and *says* how it starts
-  // mid-stream — a reclaimed front is reported, never a silent hole.
-  EXPECT_TRUE(stats.closed);
-  EXPECT_GT(stats.first_batch_seq, 0u);
-  EXPECT_EQ(stats.seq_gaps, 0u);
-  ASSERT_FALSE(records.empty());
-  EXPECT_EQ(records.back().seq, 17u);  // The newest record survives.
-  EXPECT_EQ(records.size() % 3, 0u);   // Whole batches only.
-}
-
-TEST_F(SpoolRotationTest, ChainedFollowerTailsAcrossLiveRotation) {
-  spool::SpoolWriter writer;
-  ASSERT_EQ(writer.OpenRotating(path_, {1, 100}), Status::kOk);
-
-  spool::ChainedFollower follower;
-  std::vector<trace::TaggedRecord> records;
-  uint64_t seq = 0;
-  for (int batch = 0; batch < 4; ++batch) {
-    for (int i = 0; i < 2; ++i) {
-      writer.OnRecord(MakeRecord(seq++));
-    }
-    ASSERT_EQ(writer.Commit(), Status::kOk);
-    // Interleaved tailing: each poll must cross the rotation the writer
-    // just performed.
-    if (batch == 0) {
-      ASSERT_EQ(follower.Open(path_), Status::kOk);
-    }
-    ASSERT_EQ(follower.Poll(records), Status::kOk);
-    EXPECT_EQ(records.size(), (static_cast<size_t>(batch) + 1) * 2);
-    EXPECT_FALSE(follower.closed());
-  }
-  ASSERT_EQ(writer.Close(), Status::kOk);
-  ASSERT_EQ(follower.Poll(records), Status::kOk);
-  EXPECT_TRUE(follower.closed());
-  ASSERT_EQ(records.size(), 8u);
-  for (uint64_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].seq, i);
-  }
-  EXPECT_EQ(follower.stats().seq_gaps, 0u);
-  EXPECT_GE(follower.stats().segments, 4u);
-}
-
-TEST_F(SpoolRotationTest, ChainedFollowerOpenIsRetryableBeforeFirstData) {
+TEST_F(TraceSpoolTest, FollowerOpenIsRetryableBeforeFirstData) {
   // Tailing a kernel that has not started yet: Open keeps failing softly
-  // until the first segment's header lands, then succeeds — it must never
-  // wedge into kAlreadyExists (the fleet attach loop retries it).
-  spool::ChainedFollower follower;
+  // until the file's header lands, then succeeds — it must never wedge into
+  // kAlreadyExists (graftstat's attach loop retries it).
+  spool::SpoolFollower follower;
   EXPECT_EQ(follower.Open(path_), Status::kNotFound);
   EXPECT_EQ(follower.Open(path_), Status::kNotFound);
 
+  // The writer has created the file but its header has not landed yet.
+  std::FILE* f = std::fopen(path_.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fclose(f);
+  EXPECT_EQ(follower.Open(path_), Status::kSpoolTruncated);
+
   spool::SpoolWriter writer;
-  ASSERT_EQ(writer.OpenRotating(path_, {1, 100}), Status::kOk);
+  ASSERT_EQ(writer.Open(path_), Status::kOk);
   writer.OnRecord(MakeRecord(0));
   ASSERT_EQ(writer.Commit(), Status::kOk);
   ASSERT_EQ(follower.Open(path_), Status::kOk);
@@ -473,12 +363,12 @@ TEST_F(SpoolRotationTest, ChainedFollowerOpenIsRetryableBeforeFirstData) {
   EXPECT_TRUE(follower.closed());
 }
 
-TEST_F(SpoolRotationTest, FollowerReopensWhenFileRotatedAwayUnderneath) {
-  // The --follow regression: a *plain* spool renamed away mid-tail (think
-  // logrotate) used to park the reader on its stale fd forever. The chain
-  // reader notices the displacement, finishes the old incarnation, and
-  // re-reads the new file; the restarted stream's batch_seq reset is
-  // reported as a sequence gap, not silently merged.
+TEST_F(TraceSpoolTest, FollowerReopensWhenFileRotatedAwayUnderneath) {
+  // The --follow regression: a spool renamed away mid-tail (think
+  // logrotate) used to park the reader on its stale fd forever. The reader
+  // notices the displacement, finishes the old file, and re-reads the new
+  // one; the restarted stream's batch_seq reset is reported as a sequence
+  // gap, not silently merged.
   spool::SpoolWriter writer1;
   ASSERT_EQ(writer1.Open(path_), Status::kOk);
   for (uint64_t i = 0; i < 4; ++i) {
@@ -487,7 +377,7 @@ TEST_F(SpoolRotationTest, FollowerReopensWhenFileRotatedAwayUnderneath) {
   ASSERT_EQ(writer1.Commit(), Status::kOk);
   ASSERT_EQ(writer1.Commit(), Status::kOk);  // No-op, keeps file unclosed.
 
-  spool::ChainedFollower follower;
+  spool::SpoolFollower follower;
   ASSERT_EQ(follower.Open(path_), Status::kOk);
   std::vector<trace::TaggedRecord> records;
   ASSERT_EQ(follower.Poll(records), Status::kOk);
@@ -503,16 +393,17 @@ TEST_F(SpoolRotationTest, FollowerReopensWhenFileRotatedAwayUnderneath) {
   }
   ASSERT_EQ(writer2.Close(), Status::kOk);
 
-  // One poll cycle: detect displacement, fold, reopen, drain the new file.
+  // One poll cycle: detect displacement, reopen, drain the new file.
   ASSERT_EQ(follower.Poll(records), Status::kOk);
   EXPECT_TRUE(follower.closed());
   ASSERT_EQ(records.size(), 7u);
   EXPECT_EQ(records[4].seq, 100u);
   EXPECT_GE(follower.stats().seq_gaps, 1u);  // The seq-0 restart.
+  EXPECT_EQ(follower.stats().records, 7u);   // Both files, one ledger.
   std::remove(moved.c_str());
 }
 
-TEST_F(SpoolRotationTest, FollowerReopensWhenFileTruncatedUnderneath) {
+TEST_F(TraceSpoolTest, FollowerReopensWhenFileTruncatedUnderneath) {
   spool::SpoolWriter writer1;
   ASSERT_EQ(writer1.Open(path_), Status::kOk);
   for (uint64_t i = 0; i < 5; ++i) {
@@ -520,7 +411,7 @@ TEST_F(SpoolRotationTest, FollowerReopensWhenFileTruncatedUnderneath) {
   }
   ASSERT_EQ(writer1.Commit(), Status::kOk);
 
-  spool::ChainedFollower follower;
+  spool::SpoolFollower follower;
   ASSERT_EQ(follower.Open(path_), Status::kOk);
   std::vector<trace::TaggedRecord> records;
   ASSERT_EQ(follower.Poll(records), Status::kOk);
@@ -539,16 +430,13 @@ TEST_F(SpoolRotationTest, FollowerReopensWhenFileTruncatedUnderneath) {
   EXPECT_EQ(records.back().seq, 200u);
 }
 
-TEST_F(SpoolRotationTest, DrainerRotatesAndAccountingStaysLossless) {
-  // Drainer-vs-writers stress under forced rotation (TSan covers this test
-  // via tools/check.sh): everything posted is either delivered through the
-  // segment chain or counted in lost_total — never silently dropped at a
-  // segment boundary.
+TEST_F(TraceSpoolTest, DrainerVersusWritersAccountingStaysLossless) {
+  // Drainer-vs-writers stress (TSan covers this test via tools/check.sh):
+  // everything four posting threads produce is either delivered through
+  // the spool or counted in lost_total — never silently dropped.
   trace::SetEnabled(true);
   spool::SpoolDrainer::Options options;
   options.path = path_;
-  options.rotation.segment_bytes = 16 * 1024;  // Force frequent rotation.
-  options.rotation.max_segments = 1000;        // ...but reclaim nothing.
   auto started = spool::SpoolDrainer::Start(options);
   ASSERT_TRUE(started.ok());
   auto drainer = std::move(started.value());
@@ -570,42 +458,44 @@ TEST_F(SpoolRotationTest, DrainerRotatesAndAccountingStaysLossless) {
   }
   drainer->Stop();
 
-  const spool::SpoolDrainer::Stats ds = drainer->stats();
-  EXPECT_GT(ds.segments, 1u);
-  EXPECT_EQ(ds.segments_reclaimed, 0u);
-
   std::vector<trace::TaggedRecord> records;
   spool::ReadStats stats;
   ASSERT_EQ(spool::ReadSpoolChain(path_, records, &stats), Status::kOk);
   EXPECT_TRUE(stats.closed);
   EXPECT_EQ(stats.seq_gaps, 0u);
-  EXPECT_EQ(stats.first_batch_seq, 0u);
-  EXPECT_GT(stats.segments, 1u);
   // The lossless ledger: delivered + lost == posted.
   EXPECT_EQ(stats.records + stats.lost_total, kThreads * kPerThread);
   EXPECT_EQ(records.size(), stats.records);
+  EXPECT_EQ(drainer->stats().records, stats.records);
 }
 
-TEST_F(SpoolRotationTest, EnvRotationKnobsDeriveSegmentedOptions) {
-  // DeriveEnvSpoolOptions honors the rotation knobs; explicit paths win
-  // over VINO_SPOOL but still pick up the segment configuration.
+TEST_F(TraceSpoolTest, EnvSpoolDirDerivesOnePlainFilePerKernel) {
   // (check.sh runs the whole suite with VINO_SPOOL set — park it.)
   const char* spool_dir = std::getenv("VINO_SPOOL");
   const std::string saved = spool_dir != nullptr ? spool_dir : "";
   ::unsetenv("VINO_SPOOL");
-  ::setenv("VINO_SPOOL_SEGMENT_BYTES", "4096", 1);
-  ::setenv("VINO_SPOOL_SEGMENTS", "3", 1);
-  spool::SpoolDrainer::Options options;
-  options.path = path_;
-  EXPECT_TRUE(spool::DeriveEnvSpoolOptions(&options));
-  EXPECT_EQ(options.path, path_);
-  EXPECT_EQ(options.rotation.segment_bytes, 4096u);
-  EXPECT_EQ(options.rotation.max_segments, 3u);
-  ::unsetenv("VINO_SPOOL_SEGMENT_BYTES");
-  ::unsetenv("VINO_SPOOL_SEGMENTS");
-
   spool::SpoolDrainer::Options plain;
   EXPECT_FALSE(spool::DeriveEnvSpoolOptions(&plain));  // No env, no path.
+
+  spool::SpoolDrainer::Options explicit_path;
+  explicit_path.path = path_;
+  EXPECT_TRUE(spool::DeriveEnvSpoolOptions(&explicit_path));
+  EXPECT_EQ(explicit_path.path, path_);  // An explicit path wins.
+
+  ::setenv("VINO_SPOOL", "/spool-dir", 1);
+  spool::SpoolDrainer::Options a;
+  spool::SpoolDrainer::Options b;
+  ASSERT_TRUE(spool::DeriveEnvSpoolOptions(&a));
+  ASSERT_TRUE(spool::DeriveEnvSpoolOptions(&b));
+  const std::string prefix =
+      "/spool-dir/vspool." + std::to_string(::getpid()) + ".";
+  EXPECT_TRUE(a.path.starts_with(prefix) && a.path.ends_with(".bin"))
+      << a.path;
+  EXPECT_TRUE(b.path.starts_with(prefix) && b.path.ends_with(".bin"))
+      << b.path;
+  EXPECT_NE(a.path, b.path);  // One file per kernel.
+
+  ::unsetenv("VINO_SPOOL");
   if (spool_dir != nullptr) {
     ::setenv("VINO_SPOOL", saved.c_str(), 1);
   }

@@ -9,7 +9,7 @@
 #      included), whose survival invariants — every hostile graft ejected,
 #      zero false ejections, zero lost events, every tenant still serving,
 #      lock table drained, transactions balanced, hog charges rolled back —
-#      hard-fail every stage that runs it (1, 4, 7 and 8),
+#      hard-fail every stage that runs it (1, 4, 6 and 7),
 #   2. offline verifier audit: vverify (the same VerifySandbox analysis the
 #      loader runs) must accept every example graft graftc emits, and the
 #      misbehavior zoo — whose forged-toolchain grafts the loader's verifier
@@ -21,11 +21,7 @@
 #      instrumentation site exercised with the ring hot) and spooled, every
 #      spool (the serving smoke's included) replayed by one
 #      `graftstat --spool <dir>`, plus a graftstat --json smoke test,
-#   5. fleet observability: three kernel processes spool rotated segment
-#      rings into one VINO_SPOOL directory and `graftstat --spool <dir>
-#      --json` must multiplex all of them (tools/fleet_smoke.py), repeated
-#      under the flake guard since it exercises real process interleaving,
-#   6. adversarial graft fuzzing: graftfuzz --smoke — deterministic
+#   5. adversarial graft fuzzing: graftfuzz --smoke — deterministic
 #      survive-and-eject campaigns (fixed seeds, all three program classes,
 #      both execution tiers) against a live kernel with the spool attached;
 #      any anomaly (sandbox escape, tier divergence, missed ejection, lost
@@ -33,13 +29,13 @@
 #      under build/fuzz-artifacts; outside --fast, the tier-differential
 #      and verifier property tests also run widened to 20000 trials per
 #      seed,
-#   7. ThreadSanitizer build + the concurrency-heavy tests, so dispatch
+#   6. ThreadSanitizer build + the concurrency-heavy tests, so dispatch
 #      races (Drain vs DispatchAsync, pool lifecycle, txn locks, ring
 #      snapshot-during-write, concurrent Tier-1 dispatch over one shared
 #      compiled artifact, the tier-differential fuzz, lock-table sharding,
 #      namespace install/invoke/remove churn, the serving smoke itself) fail
 #      CI instead of shipping; the fuzz smoke re-runs under TSan too,
-#   8. AddressSanitizer+UBSan build + the full suite (minus alloc_test,
+#   7. AddressSanitizer+UBSan build + the full suite (minus alloc_test,
 #      whose global operator-new counter conflicts with ASan's allocator
 #      interposition), so heap misuse and undefined behaviour in the Vm /
 #      packing / undo-replay paths and the serving smoke fail CI too; the
@@ -69,12 +65,12 @@ for arg in "$@"; do
   esac
 done
 
-echo "== [1/8] build + full test suite =="
+echo "== [1/7] build + full test suite =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== [2/8] offline verifier audit: vverify over example grafts + zoo =="
+echo "== [2/7] offline verifier audit: vverify over example grafts + zoo =="
 AUDIT_DIR="$PWD/build/graft-audit"
 rm -rf "$AUDIT_DIR" && mkdir -p "$AUDIT_DIR"
 for src in examples/grafts/*.vasm; do
@@ -96,11 +92,11 @@ grep -q 'Forged toolchain' "$AUDIT_DIR/zoo.out" || {
   echo "zoo output missing the forged-toolchain section" >&2; exit 1; }
 echo "verifier audit: ok (offline vverify and in-kernel loader agree)"
 
-echo "== [3/8] flaky-dispatch guard: robustness_test x20 =="
+echo "== [3/7] flaky-dispatch guard: robustness_test x20 =="
 ctest --test-dir build -R robustness_test --repeat until-fail:20 \
   --output-on-failure
 
-echo "== [4/8] flight recorder live: suite with VINO_TRACE=1 + spooling + graftstat =="
+echo "== [4/7] flight recorder live: suite with VINO_TRACE=1 + spooling + graftstat =="
 # VINO_SPOOL makes every VinoKernel constructed by the suite spool its
 # flight recorder to a per-kernel file; one graftstat --spool over the
 # directory must then find them and read every one cleanly (each kernel
@@ -140,15 +136,7 @@ print(f"graftstat --json smoke: ok ({aborts} aborts, {records} records, "
       f"{len(tiered)} tiered graft(s))")
 '
 
-echo "== [5/8] fleet observability: multi-kernel spool dir, one attach =="
-# Three graftstat self-test processes spool rotated segment rings into one
-# VINO_SPOOL directory; one --spool view must multiplex all of them. Real
-# process interleaving, so it runs under the same until-fail flake guard as
-# the dispatch tests.
-ctest --test-dir build -R graftstat_fleet_smoke --repeat until-fail:5 \
-  --output-on-failure
-
-echo "== [6/8] adversarial graft fuzzing: graftfuzz --smoke =="
+echo "== [5/7] adversarial graft fuzzing: graftfuzz --smoke =="
 # Deterministic survive-and-eject campaigns: fixed seeds drive generated
 # valid / forged / byte-soup programs through the full load -> verify ->
 # install -> invoke -> abort/eject lifecycle on a live kernel with the
@@ -200,11 +188,11 @@ if [[ "$BENCH" == "1" ]]; then
 fi
 
 if [[ "$FAST" == "1" ]]; then
-  echo "== [7/8] [8/8] skipped (--fast) =="
+  echo "== [6/7] [7/7] skipped (--fast) =="
   exit 0
 fi
 
-echo "== [7/8] ThreadSanitizer: concurrency-heavy tests =="
+echo "== [6/7] ThreadSanitizer: concurrency-heavy tests =="
 cmake -B build-tsan -S . -DVINO_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS"
 # TSAN_OPTIONS: fail the test process on the first report; tools/tsan.supp
@@ -218,7 +206,7 @@ TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/tools/tsan.supp" \
 TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/tools/tsan.supp" \
   build-tsan/tools/graftfuzz --smoke --artifacts "$FUZZ_ART"
 
-echo "== [8/8] AddressSanitizer+UBSan: full suite (minus alloc_test) =="
+echo "== [7/7] AddressSanitizer+UBSan: full suite (minus alloc_test) =="
 cmake -B build-asan -S . -DVINO_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS"
 # alloc_test is excluded: it replaces global operator new to count heap

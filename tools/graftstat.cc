@@ -6,34 +6,28 @@
 //     variance to fit cost = a + b·L + c·G per graft. --spool-out also
 //     spools the run's flight-recorder stream to FILE (deterministically —
 //     drained every batch of invocations, so nothing wraps), which is how
-//     the golden test proves a replayed fit matches the live one. The
-//     VINO_SPOOL_SEGMENT_BYTES / VINO_SPOOL_SEGMENTS environment turns that
-//     spool into a size-capped rotation ring; with no --spool-out, VINO_SPOOL
-//     (a directory) derives a per-process spool exactly as a kernel would —
-//     which is how the fleet smoke test uses several self-tests as stand-in
-//     kernels.
+//     the golden test proves a replayed fit matches the live one. With no
+//     --spool-out, VINO_SPOOL (a directory) derives a per-process spool file
+//     exactly as a kernel would.
 //
 //   graftstat --spool PATH [--json]
-//     Attach to what is on disk now: drain every stream under PATH to its
-//     current end and report. PATH may be a plain spool, one segment of a
-//     rotation ring, or the ring's base path (segments chain into one
-//     stream with exact batch_seq / lost_total continuity) — or a VINO_SPOOL
-//     directory, where every `vspool.<pid>.<k>[.s<n>].bin` family is one
-//     kernel's stream.
+//     Attach to what is on disk now: drain every spool under PATH to its
+//     current end and report. PATH is one spool file, or a VINO_SPOOL
+//     directory, where every `vspool.<pid>.<k>.bin` is one kernel's spool.
 //
 //   graftstat --follow PATH [--json] [--interval-ms N]
-//     Attach to a *live* deployment: tail the same streams as the kernels
-//     write them (rotation-safe; new kernels under a directory join the
-//     view), until every stream's close trailer arrives — then report. A
-//     stream that has not appeared yet is waited for up to 30 s.
+//     Attach to live kernels: tail the same spools as the kernels write
+//     them (a file renamed or truncated underneath is reopened; new kernels
+//     under a directory join the view), until every spool's close trailer
+//     arrives — then report. A spool that has not appeared yet is waited
+//     for up to 30 s.
 //
 // Both attach forms print one report: per kernel, the spool's health, txn
 // and event counts, latency quantiles, per-graft abort counts and fitted
-// cost lines rebuilt from the records alone; plus a fleet union (per-graft
-// fits merged across kernels via AbortCostModel::Merge). Exit status is
-// the same for every form: 1 when no stream was found, a stream is
-// missing, or any batch was corrupt (SPOOL_CORRUPT); a truncated tail is a
-// normal partial report (exit 0).
+// cost lines rebuilt from the records alone. Exit status is the same for
+// every form: 1 when no spool was found, a spool is missing, or any batch
+// was corrupt (SPOOL_CORRUPT); a truncated tail is a normal partial report
+// (exit 0).
 
 #include <poll.h>
 #include <unistd.h>
@@ -230,11 +224,9 @@ void PrintRunsJson(const TierRuns& runs) {
   std::printf("}");
 }
 
-// One per-graft row, shared by the live self-test, the replayed kernels,
-// and the fleet union.
+// One per-graft row, shared by the live self-test and the replayed kernels.
 struct GraftAgg {
-  std::string name;      // Live grafts only; a spool carries trace ids.
-  uint64_t kernels = 0;  // Fleet-union rows: kernels that ran it (else 0).
+  std::string name;  // Live grafts only; a spool carries trace ids.
   uint64_t invocations = 0;
   uint64_t aborts = 0;
   // Execution-slot attribution (slot 0 = native graft, or a legacy spool
@@ -268,9 +260,6 @@ void PrintGraftsJson(const GraftAggs& grafts, const char* indent) {
       std::printf(", ");
     }
     std::printf("\"trace_id\": %" PRIu64, it->first);
-    if (g.kernels > 0) {
-      std::printf(", \"kernels\": %" PRIu64, g.kernels);
-    }
     std::printf(", \"invocations\": %" PRIu64 ", \"aborts\": %" PRIu64
                 ", \"degraded\": %s, \"runs\": ",
                 g.invocations, g.aborts, g.degraded ? "true" : "false");
@@ -290,9 +279,6 @@ void PrintGraftsText(const GraftAggs& grafts) {
   for (const auto& [trace_id, g] : grafts) {
     std::string label =
         g.name.empty() ? "graft#" + std::to_string(trace_id) : g.name;
-    if (g.kernels > 0) {
-      label += " ×" + std::to_string(g.kernels);
-    }
     if (g.degraded) {
       label += " [DEGRADED]";
     }
@@ -372,20 +358,20 @@ struct ReplayReport {
 
 using Clock = std::chrono::steady_clock;
 
-// How long --follow waits for a stream that has not appeared yet (or whose
+// How long --follow waits for a spool that has not appeared yet (or whose
 // file header has not landed): a kernel mid-startup, in wall time.
 constexpr auto kAppearTimeout = std::chrono::seconds(30);
 
-// One kernel's stream: a chained follower feeding the report aggregator.
+// One kernel's spool: a follower feeding the report aggregator.
 struct KernelView {
   KernelView(std::string key_in, std::string path_in)
       : key(std::move(key_in)),
         path(std::move(path_in)),
         discovered(Clock::now()) {}
 
-  // Opens lazily — a stream that is missing or whose header is short is
-  // retried next round — then folds every record now readable, across
-  // every segment of the chain, into the report.
+  // Opens lazily — a spool that is missing or whose header is short is
+  // retried next round — then folds every record now readable into the
+  // report.
   void Poll(std::vector<vino::trace::TaggedRecord>& batch) {
     if (OpenRetryable()) {
       open_status = follower.Open(path);
@@ -422,7 +408,7 @@ struct KernelView {
     return stats.truncated ? Status::kSpoolTruncated : Status::kOk;
   }
 
-  // Under --follow: nothing more will come from this stream.
+  // Under --follow: nothing more will come from this spool.
   bool Finished(Clock::time_point now) const {
     if (IsOk(open_status)) {
       return !IsOk(poll_status) || follower.closed();
@@ -431,62 +417,52 @@ struct KernelView {
   }
 
   std::string key;
-  std::string path;  // Chain open path: file, segment, or ring base.
-  vino::spool::ChainedFollower follower;
+  std::string path;
+  vino::spool::SpoolFollower follower;
   ReplayReport report;
-  Status open_status = Status::kNotFound;  // kOk once the chain opened.
+  Status open_status = Status::kNotFound;  // kOk once the spool opened.
   Status poll_status = Status::kOk;        // Sticky unrecoverable corruption.
   Clock::time_point discovered;
 };
 
 using KernelViews = std::map<std::string, std::unique_ptr<KernelView>>;
 
-// Kernel key of a stream (a plain spool or a ring base):
-// `vspool.<pid>.<k>[.bin]` -> "<pid>.<k>"; any other spool keeps its name.
-std::string StreamKey(const std::string& stream) {
-  std::string name = std::filesystem::path(stream).filename().string();
+// Kernel key of a spool: `vspool.<pid>.<k>.bin` -> "<pid>.<k>"; any other
+// spool keeps its name, minus a `.bin` suffix.
+std::string SpoolKey(const std::string& path) {
+  std::string name = std::filesystem::path(path).filename().string();
   if (name.ends_with(".bin")) {
     name.resize(name.size() - 4);
   }
   return name.starts_with("vspool.") ? name.substr(7) : name;
 }
 
-// The stream a path names: segments collapse onto their ring base (the
-// chain then picks up the oldest live segment itself).
-std::string StreamOf(const std::string& path) {
-  std::string base;
-  uint64_t index = 0;
-  return vino::spool::ParseSegmentPath(path, &base, &index) ? base : path;
-}
-
-// Resolves an attach path to its streams, kernel key -> chain open path. A
-// directory holds one stream per `vspool.*.bin` family; anything else — a
-// file, a segment, a ring base — is one stream, opened where it points.
-std::map<std::string, std::string> ResolveStreams(const std::string& path,
-                                                  bool dir) {
+// Resolves an attach path to its spools, kernel key -> file. A directory
+// holds one spool per `vspool.*.bin` file; anything else is one spool.
+std::map<std::string, std::string> ResolveSpools(const std::string& path,
+                                                 bool dir) {
   std::map<std::string, std::string> found;
   if (!dir) {
-    found.emplace(StreamKey(StreamOf(path)), path);
+    found.emplace(SpoolKey(path), path);
     return found;
   }
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(path, ec)) {
     const std::string name = entry.path().filename().string();
     if (name.starts_with("vspool.") && name.ends_with(".bin")) {
-      const std::string stream = StreamOf(entry.path().string());
-      found.emplace(StreamKey(stream), stream);
+      found.emplace(SpoolKey(name), entry.path().string());
     }
   }
   return found;
 }
 
 // Wakes the follow loop when the watched directory changes: inotify on
-// Linux (new kernels, rotated segments, and appends all wake immediately),
+// Linux (new kernels, replaced files, and appends all wake immediately),
 // a plain interval sleep elsewhere. Either way the loop rescans on wake, so
 // the inotify path is latency, not correctness.
-class FleetWaiter {
+class DirWaiter {
  public:
-  explicit FleetWaiter(const std::string& dir) {
+  explicit DirWaiter(const std::string& dir) {
 #ifdef __linux__
     fd_ = ::inotify_init1(IN_NONBLOCK | IN_CLOEXEC);
     if (fd_ >= 0 &&
@@ -500,14 +476,14 @@ class FleetWaiter {
     (void)dir;
 #endif
   }
-  ~FleetWaiter() {
+  ~DirWaiter() {
     if (fd_ >= 0) {
       ::close(fd_);
     }
   }
 
-  FleetWaiter(const FleetWaiter&) = delete;
-  FleetWaiter& operator=(const FleetWaiter&) = delete;
+  DirWaiter(const DirWaiter&) = delete;
+  DirWaiter& operator=(const DirWaiter&) = delete;
 
   void Wait(uint64_t interval_ms) {
 #ifdef __linux__
@@ -528,28 +504,6 @@ class FleetWaiter {
   int fd_ = -1;
 };
 
-// Fleet union: the same graft (by trace id) merged across every kernel
-// that ran it. Trace ids are per-process counters, so the union is
-// meaningful for symmetric deployments — the same grafts loaded in the same
-// order on every kernel — which is the fleet the tool targets; asymmetric
-// fleets still get exact per-kernel views.
-struct FleetUnion {
-  uint64_t records = 0;
-  AbortCostModel model;
-  GraftAggs grafts;
-
-  explicit FleetUnion(const KernelViews& views) {
-    for (const auto& [key, view] : views) {
-      records += view->report.records;
-      model.Merge(view->report.global_model);
-      for (const auto& [trace_id, agg] : view->report.grafts) {
-        ++grafts[trace_id].kernels;
-        grafts[trace_id].Merge(agg);
-      }
-    }
-  }
-};
-
 void PrintSpoolStatsJson(const KernelView& view) {
   const vino::spool::ReadStats& stats = view.follower.stats();
   std::printf("{\"path\": ");
@@ -558,14 +512,11 @@ void PrintSpoolStatsJson(const KernelView& view) {
   PrintJsonString(StatusName(view.status()));
   std::printf(", \"batches\": %" PRIu64 ", \"corrupt_batches\": %" PRIu64
               ", \"records\": %" PRIu64 ", \"lost_total\": %" PRIu64
-              ", \"truncated\": %s, \"closed\": %s, \"rotated\": %s, "
-              "\"segments\": %" PRIu64 ", \"first_batch_seq\": %" PRIu64
-              ", \"seq_gaps\": %" PRIu64 "}",
+              ", \"truncated\": %s, \"closed\": %s, \"seq_gaps\": %" PRIu64
+              "}",
               stats.batches, stats.corrupt_batches, stats.records,
               stats.lost_total, stats.truncated ? "true" : "false",
-              stats.closed ? "true" : "false",
-              stats.rotated ? "true" : "false", stats.segments,
-              stats.first_batch_seq, stats.seq_gaps);
+              stats.closed ? "true" : "false", stats.seq_gaps);
 }
 
 void PrintReportJson(const char* mode, const std::string& path,
@@ -602,14 +553,7 @@ void PrintReportJson(const char* mode, const std::string& path,
     PrintGraftsJson(report.grafts, "       ");
     std::printf("}");
   }
-  const FleetUnion fleet(views);
-  std::printf("%s],\n  \"fleet\": {\"kernels\": %zu, \"records\": %" PRIu64
-              ", \"abort_cost_union\": ",
-              views.empty() ? "" : "\n  ", views.size(), fleet.records);
-  PrintFitJson(fleet.model.Fit());
-  std::printf(",\n    \"grafts\": ");
-  PrintGraftsJson(fleet.grafts, "      ");
-  std::printf("}\n}\n");
+  std::printf("%s]\n}\n", views.empty() ? "" : "\n  ");
 }
 
 void PrintReportText(const char* mode, const std::string& path,
@@ -628,13 +572,8 @@ void PrintReportText(const char* mode, const std::string& path,
                 stats.lost_total, stats.truncated ? ", truncated tail" : "",
                 stats.closed ? ", closed cleanly" : "",
                 static_cast<int>(status.size()), status.data());
-    std::printf("       %" PRIu64 " segment%s chained (seq %" PRIu64
-                "..%" PRIu64 ", %" PRIu64 " gap%s)%s\n\n",
-                stats.segments, stats.segments == 1 ? "" : "s",
-                stats.first_batch_seq,
-                stats.next_batch_seq > 0 ? stats.next_batch_seq - 1 : 0,
-                stats.seq_gaps, stats.seq_gaps == 1 ? "" : "s",
-                stats.rotated ? ", awaiting successor segment" : "");
+    std::printf("       %" PRIu64 " batch seq gap%s\n\n", stats.seq_gaps,
+                stats.seq_gaps == 1 ? "" : "s");
     std::printf("transactions: %" PRIu64 " begun, %" PRIu64 " committed, %"
                 PRIu64 " aborted\n\n",
                 report.txn_begins, report.txn_commits, report.txn_aborts);
@@ -648,20 +587,11 @@ void PrintReportText(const char* mode, const std::string& path,
     std::printf("\nper-graft:\n");
     PrintGraftsText(report.grafts);
   }
-  if (views.size() < 2) {
-    return;  // One kernel is its own union.
-  }
-  const FleetUnion fleet(views);
-  std::printf("\n== fleet union (%zu kernels, %" PRIu64 " records)\n",
-              views.size(), fleet.records);
-  PrintFitText("all-kernels", fleet.model.Fit());
-  std::printf("\nper-graft (×kernels that ran it):\n");
-  PrintGraftsText(fleet.grafts);
 }
 
-// The attach loop behind --spool and --follow: resolve PATH to streams and
-// poll every stream, once (--spool: what is on disk now) or on every change
-// until every stream has finished (--follow).
+// The attach loop behind --spool and --follow: resolve PATH to spools and
+// poll every spool, once (--spool: what is on disk now) or on every change
+// until every spool has finished (--follow).
 int Attach(const std::string& path, bool follow, bool json,
            uint64_t interval_ms) {
   const char* mode = follow ? "follow" : "spool";
@@ -669,14 +599,14 @@ int Attach(const std::string& path, bool follow, bool json,
   const bool dir = std::filesystem::is_directory(path, ec);
   KernelViews views;
   const std::string parent = std::filesystem::path(path).parent_path();
-  FleetWaiter waiter(dir ? path : parent.empty() ? "." : parent);
+  DirWaiter waiter(dir ? path : parent.empty() ? "." : parent);
   std::vector<vino::trace::TaggedRecord> batch;
   const Clock::time_point start = Clock::now();
   uint64_t last_total = 0;
   while (true) {
-    for (const auto& [key, stream] : ResolveStreams(path, dir)) {
+    for (const auto& [key, file] : ResolveSpools(path, dir)) {
       if (views.find(key) == views.end()) {
-        views.emplace(key, std::make_unique<KernelView>(key, stream));
+        views.emplace(key, std::make_unique<KernelView>(key, file));
       }
     }
     for (auto& [key, view] : views) {
@@ -693,7 +623,7 @@ int Attach(const std::string& path, bool follow, bool json,
       finished = finished && view->Finished(now);
     }
     if (!json && total != last_total) {
-      std::fprintf(stderr, "follow: %zu stream%s, %" PRIu64 " records\n",
+      std::fprintf(stderr, "follow: %zu spool%s, %" PRIu64 " records\n",
                    views.size(), views.size() == 1 ? "" : "s", total);
       last_total = total;
     }
@@ -771,8 +701,7 @@ int main(int argc, char** argv) {
   // invocations (a batch's records fit the ring several times over), so the
   // spooled stream is lossless and a replayed fit must equal the live one.
   // With no --spool-out, the VINO_SPOOL environment derives a per-process
-  // path exactly like a kernel (DeriveEnvSpoolOptions) — several self-test
-  // processes pointed at one directory stand in for a fleet of kernels.
+  // path exactly like a kernel (DeriveEnvSpoolOptions).
   vino::spool::SpoolDrainer::Options spool_options;
   spool_options.path = spool_out;
   const bool want_spool = vino::spool::DeriveEnvSpoolOptions(&spool_options);
@@ -943,10 +872,8 @@ int main(int argc, char** argv) {
       std::printf("  \"spool_out\": {\"path\": ");
       PrintJsonString(spool_out);
       std::printf(", \"records\": %" PRIu64 ", \"batches\": %" PRIu64
-                  ", \"lost_total\": %" PRIu64 ", \"segments\": %" PRIu64
-                  ", \"segments_reclaimed\": %" PRIu64 "},\n",
-                  ds.records, ds.batches, ds.lost_total, ds.segments,
-                  ds.segments_reclaimed);
+                  ", \"lost_total\": %" PRIu64 "},\n",
+                  ds.records, ds.batches, ds.lost_total);
     }
     std::printf("  \"txn\": {\"begins\": %" PRIu64 ", \"commits\": %" PRIu64
                 ", \"aborts\": %" PRIu64 ", \"slab_misses\": %" PRIu64
@@ -1001,11 +928,8 @@ int main(int argc, char** argv) {
   if (drainer != nullptr) {
     const vino::spool::SpoolDrainer::Stats ds = drainer->stats();
     std::printf("spooled: %" PRIu64 " records in %" PRIu64 " batches -> %s "
-                "(%" PRIu64 " lost, %" PRIu64 " segment%s, %" PRIu64
-                " reclaimed)\n",
-                ds.records, ds.batches, spool_out.c_str(), ds.lost_total,
-                ds.segments, ds.segments == 1 ? "" : "s",
-                ds.segments_reclaimed);
+                "(%" PRIu64 " lost)\n",
+                ds.records, ds.batches, spool_out.c_str(), ds.lost_total);
   }
   std::printf("\n");
 
